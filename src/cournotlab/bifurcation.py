@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DelayConfig, MarketParams
-from .spectral import EpsilonTriple, k_factor, reduced_char_poly
+from .spectral import EpsilonTriple, coupling_epsilons, k_factor, reduced_char_poly
 
 FLIP_ANGLE_TOL = 1.0e-3
 THETA_MIN = 1.0e-3
@@ -82,8 +82,7 @@ def flip_boundary(p: MarketParams, d: DelayConfig) -> BifurcationPoint:
     """
     require_assumptions(p, which=("A.1",))
     parity = ParityCase.from_delays(d)
-    eps0 = 0.5 * p.n * p.delta**2
-    eps2 = 0.5 * (p.n - 1) * p.delta
+    eps0, eps2 = coupling_epsilons(p)
     s = parity.sign_sum
     s2 = parity.sign_tau2
 
@@ -156,8 +155,7 @@ def ns_boundary(
     polynomial to 1e-8.  An empty list means no interior crossing exists.
     """
     require_assumptions(p, which=("A.1",))
-    eps0 = 0.5 * p.n * p.delta**2
-    eps2 = 0.5 * (p.n - 1) * p.delta
+    eps0, eps2 = coupling_epsilons(p)
     tau = d.tau_sum
     tau2 = d.tau2
     kfac = k_factor(p)
@@ -246,8 +244,7 @@ def critical_alpha(
     alpha_lo, alpha_hi = alpha_range
     if not alpha_lo < alpha_hi:
         raise ValidationError(f"empty alpha bracket {alpha_range}")
-    eps0 = 0.5 * p.n * p.delta**2
-    eps2 = 0.5 * (p.n - 1) * p.delta
+    eps0, eps2 = coupling_epsilons(p)
     kfac = k_factor(p)
 
     def modulus_at(alpha: float) -> tuple[float, complex]:
@@ -319,8 +316,7 @@ def stability_region(p: MarketParams, delta_grid, n: int | None = None) -> list[
             raise ValidationError(f"delta grid value {delta} outside (0, 1)")
         q = dataclasses.replace(p, delta=float(delta), n=n)
         report = check_assumptions(q)
-        eps0 = 0.5 * q.n * q.delta**2
-        eps2 = 0.5 * (q.n - 1) * q.delta
+        eps0, eps2 = coupling_epsilons(q)
         feasible = report.a1_holds and report.a2_holds and eps2 < 1.0
         if feasible:
             bound = (1.0 - eps2 - eps0) / (1.0 - eps2 + eps0)

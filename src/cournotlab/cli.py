@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bifurcation, dynamics, equilibria, spectral
-from .config import KEY_TYPES, RunConfig, parse_config
+from .config import KEY_TYPES, NON_EXPERIMENT_KEYS, RunConfig, parse_config
 from .errors import ConfigError, CournotError, NumericalError, ValidationError
 from .model import DelayConfig, MarketParams, simulate
 
@@ -327,7 +327,7 @@ def _config_payload(cfg: RunConfig) -> dict:
         for key in KEY_TYPES
         if key in cfg.values
         and cfg.values[key] is not None
-        and key not in ("workers", "out")
+        and key not in NON_EXPERIMENT_KEYS
     }
 
 

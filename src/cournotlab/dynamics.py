@@ -20,7 +20,7 @@ import numpy as np
 
 from .equilibria import positive_equilibrium
 from .errors import DivergenceError, NumericalError, ValidationError
-from .model import DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, simulate
+from .model import DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, simulate
 
 DEFAULT_PERTURBATION = 1.0e-2
 PERIOD_TOL = 1.0e-6
@@ -54,6 +54,15 @@ class SweepSpec:
             raise ValidationError("transient and samples must both be >= 1")
         if not self.alpha_min < self.alpha_max:
             raise ValidationError(f"empty alpha range [{self.alpha_min}, {self.alpha_max}]")
+        if not 0 <= self.lyap_transient < self.lyap_iters:
+            raise ValidationError(
+                f"need 0 <= lyap_transient < lyap_iters, got lyap_transient={self.lyap_transient}"
+                f" and lyap_iters={self.lyap_iters}"
+            )
+        if not math.isfinite(self.perturbation):
+            raise ValidationError(f"perturbation must be finite, got {self.perturbation}")
+        if not self.blowup > 0.0:
+            raise ValidationError(f"blowup must be positive, got {self.blowup}")
 
     @property
     def alphas(self) -> np.ndarray:
@@ -126,14 +135,6 @@ def classify_attractor(
     return AttractorSummary(AttractorType.APERIODIC, None, samples)
 
 
-def _initial_tangent(depth: int, m: int) -> np.ndarray:
-    # deterministic direction with unequal components so that every
-    # eigendirection of the embedded Jacobian is excited
-    flat = 1.0 + 0.5 * np.sin(np.arange(depth * m) + 1.0)
-    flat /= np.linalg.norm(flat)
-    return flat.reshape(depth, m)
-
-
 def largest_lyapunov(
     p: MarketParams,
     d: DelayConfig,
@@ -157,76 +158,18 @@ def largest_lyapunov(
         raise ValidationError(f"iters ({iters}) must exceed transient ({transient})")
     if renorm_interval < 1:
         raise ValidationError("renorm_interval must be >= 1")
-    from .model import _check_window
-
-    _check_window(init, p, d)
-
-    depth = d.tau_max + 1
-    m = p.dimension
-    sbuf = np.empty((depth + iters, m))
-    sbuf[:depth] = init.window
-    vbuf = np.empty((depth + iters, m))
-    vbuf[:depth] = _initial_tangent(depth, m)
-
-    a0, a1, b, delta, alpha = p.a0, p.a1, p.b, p.delta, p.alpha
-    half_delta = 0.5 * delta
-    base = a1 / (2.0 * b)
-    l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
-
-    acc = 0.0
-    measured = 0
-    since_renorm = 0
-
-    for i in range(1, iters + 1):
-        t = depth + i - 1
-        q0 = sbuf[t - 1, 0]
-        s1 = sbuf[t - l1, 1:].sum()
-        sbuf[t, 0] = q0 + alpha * q0 * (a0 - b * q0 - b * delta * s1)
-        priv2 = sbuf[t - l2, 1:]
-        sbuf[t, 1:] = base - half_delta * sbuf[t - l0, 0] - half_delta * (priv2.sum() - priv2)
-        row = sbuf[t]
-        if not np.all(np.isfinite(row)) or np.abs(row).max() > blowup:
-            raise DivergenceError(
-                f"orbit left the blow-up bound at step {i} (|q| > {blowup})"
-            )
-
-        u0 = vbuf[t - 1, 0]
-        us1 = vbuf[t - l1, 1:].sum()
-        vbuf[t, 0] = (1.0 + alpha * (a0 - 2.0 * b * q0 - b * delta * s1)) * u0 - (
-            alpha * b * delta * q0
-        ) * us1
-        upriv2 = vbuf[t - l2, 1:]
-        vbuf[t, 1:] = -half_delta * vbuf[t - l0, 0] - half_delta * (upriv2.sum() - upriv2)
-
-        if i == transient:
-            # measurement baseline: rescale once without logging
-            window = vbuf[t - depth + 1 : t + 1]
-            window /= np.linalg.norm(window)
-            since_renorm = 0
-            continue
-
-        if i < transient:
-            if i % 64 == 0:
-                window = vbuf[t - depth + 1 : t + 1]
-                norm = np.linalg.norm(window)
-                if norm < 1.0e-300:
-                    raise NumericalError("tangent vector collapsed to zero")
-                window /= norm
-            continue
-
-        since_renorm += 1
-        if since_renorm == renorm_interval or i == iters:
-            window = vbuf[t - depth + 1 : t + 1]
-            norm = np.linalg.norm(window)
-            if norm < 1.0e-300:
-                raise NumericalError("tangent vector collapsed to zero")
-            acc += math.log(norm)
-            measured += since_renorm
-            window /= norm
-            since_renorm = 0
-
+    run = _iterate(
+        init, p, d, iters, blowup,
+        tangent_iters=iters, transient=transient, renorm_interval=renorm_interval,
+    )
+    if run.collapsed_at is not None:
+        raise NumericalError("tangent vector collapsed to zero")
+    if run.diverged_at is not None:
+        raise DivergenceError(
+            f"orbit left the blow-up bound at step {run.diverged_at} (|q| > {blowup})"
+        )
     return LyapunovEstimate(
-        lle=acc / measured,
+        lle=run.log_stretch / run.measured,
         iters=iters,
         transient=transient,
         renorm_interval=renorm_interval,
@@ -247,30 +190,29 @@ class DiagramRow:
 def diagram_cell(
     p: MarketParams, d: DelayConfig, spec: SweepSpec, alpha: float, init: HistoryState
 ) -> tuple[DiagramRow, Optional[HistoryState]]:
-    """Compute one diagram row; returns the row and the continuation state."""
-    pa = dataclasses.replace(p, alpha=alpha)
-    traj = simulate(pa, d, init, spec.transient + spec.samples, blowup=spec.blowup)
-    if traj.diverged:
-        samples = traj.q0[1:][-spec.samples :]
-        row = DiagramRow(
-            alpha=alpha,
-            samples=samples,
-            lle=float("nan"),
-            attractor=AttractorSummary(AttractorType.DIVERGENT, None, samples),
-            diverged=True,
-        )
-        return row, None
+    """Compute one diagram row; returns the row and the continuation state.
 
-    samples = traj.q0[-spec.samples :]
-    attractor = classify_attractor(samples)
-    try:
-        lle = largest_lyapunov(
-            pa, d, init, iters=spec.lyap_iters, transient=spec.lyap_transient, blowup=spec.blowup
-        ).lle
-    except DivergenceError:
-        lle = float("nan")
-    row = DiagramRow(alpha=alpha, samples=samples, lle=lle, attractor=attractor, diverged=False)
-    return row, HistoryState(traj.final_window, time=traj.start_time + len(traj) - 1)
+    One pass integrates the orbit for the samples and carries the tangent
+    for the exponent; an orbit that escapes after its samples but within
+    ``lyap_iters`` steps keeps its row and gets ``lle = nan``.
+    """
+    pa = dataclasses.replace(p, alpha=alpha)
+    depth = d.tau_max + 1
+    steps = spec.transient + spec.samples
+    run = _iterate(
+        init, pa, d, max(steps, spec.lyap_iters), spec.blowup,
+        tangent_iters=spec.lyap_iters, transient=spec.lyap_transient,
+    )
+    samples = run.states[depth : depth + steps, 0][-spec.samples :].copy()
+    if run.diverged_at is not None and run.diverged_at <= steps:
+        divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
+        return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True), None
+    if run.collapsed_at is not None:
+        raise NumericalError("tangent vector collapsed to zero")
+
+    lle = float("nan") if run.diverged_at is not None else run.log_stretch / run.measured
+    row = DiagramRow(alpha, samples, lle, classify_attractor(samples), diverged=False)
+    return row, HistoryState(run.states[steps : steps + depth], time=init.time + steps)
 
 
 def fresh_cell(p: MarketParams, d: DelayConfig, spec: SweepSpec, alpha: float) -> DiagramRow:
@@ -291,13 +233,11 @@ def bifurcation_diagram(p: MarketParams, d: DelayConfig, spec: SweepSpec) -> lis
     rows = []
     carried: Optional[HistoryState] = None
     for alpha in spec.alphas:
-        if spec.policy is InitPolicy.FRESH_PERTURBED or carried is None:
-            init = default_initial_history(p, d, spec.perturbation)
-        else:
-            init = carried
+        init = carried if carried is not None else default_initial_history(p, d, spec.perturbation)
         row, final = diagram_cell(p, d, spec, float(alpha), init)
         rows.append(row)
-        carried = final if spec.policy is InitPolicy.CONTINUED else None
+        if spec.policy is InitPolicy.CONTINUED:
+            carried = final
     return rows
 
 
@@ -317,8 +257,6 @@ def phase_portrait(
     pa = dataclasses.replace(p, alpha=alpha)
     init = default_initial_history(pa, d, spec.perturbation)
     traj = simulate(pa, d, init, spec.transient + spec.samples, blowup=spec.blowup)
-    if traj.diverged:
-        pts = traj.outputs[1:, :2][-spec.samples :]
-        return PhasePortrait(points=pts.copy(), alpha=alpha, diverged=True)
-    pts = traj.outputs[-spec.samples :, :2]
-    return PhasePortrait(points=pts.copy(), alpha=alpha, diverged=False)
+    # skip row 0, the start; a bounded orbit's samples never reach it
+    pts = traj.outputs[1:, :2][-spec.samples :]
+    return PhasePortrait(points=pts.copy(), alpha=alpha, diverged=traj.diverged)

@@ -13,6 +13,7 @@ no randomness, so identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,10 @@ class MarketParams:
     c: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("b", "alpha", "a0", "a1", "a", "c0", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not float(self.b) > 0.0:
             raise ValidationError(f"b must be positive, got {self.b}")
         if not 0.0 < float(self.delta) < 1.0:
@@ -206,6 +211,108 @@ def _check_window(history: HistoryState, p: MarketParams, d: DelayConfig) -> Non
         )
 
 
+def _public_slopes(q0, s1, p: MarketParams) -> tuple[float, float]:
+    """The state-dependent Jacobian entries: A[0,0] = dq0'/dq0(t) and the
+    B1[0,1:] entry -dq0'/dq_i(t - tau1), with ``s1`` = sum_i q_i(t - tau1)."""
+    own = 1.0 + p.alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
+    cross = p.alpha * p.b * p.delta * q0
+    return own, cross
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What ``_iterate`` saw: the window rows followed by every new state."""
+
+    states: np.ndarray
+    diverged_at: Optional[int]
+    log_stretch: float
+    measured: int
+    collapsed_at: Optional[int]
+
+
+def _initial_tangent(depth: int, m: int) -> np.ndarray:
+    # deterministic direction with unequal components so that every
+    # eigendirection of the embedded Jacobian is excited
+    flat = 1.0 + 0.5 * np.sin(np.arange(depth * m) + 1.0)
+    flat /= np.linalg.norm(flat)
+    return flat.reshape(depth, m)
+
+
+def _iterate(
+    init: HistoryState, p: MarketParams, d: DelayConfig, steps: int, blowup: float,
+    tangent_iters: int = 0, transient: int = 0, renorm_interval: int = 1,
+) -> _Run:
+    """The delayed map, written once.
+
+    Iterates ``steps`` times from ``init`` and stops at the first step
+    (``diverged_at``) whose new state is not finite or exceeds ``blowup``
+    in absolute value; that state is kept.  Over the first
+    ``tangent_iters`` steps the exact linearization also carries one
+    tangent window.  It is rescaled without logging every 64 steps before
+    step ``transient`` and once at it, then every ``renorm_interval``
+    steps and at the last one, summing the logged norms over ``measured``
+    steps.  A checked norm under 1e-300 stops the tangent
+    (``collapsed_at``) but not the orbit.
+    """
+    _check_window(init, p, d)
+    depth = d.tau_max + 1
+    m = p.dimension
+    buf = np.empty((depth + steps, m))
+    buf[:depth] = init.window
+    vbuf = np.empty((depth + tangent_iters, m))
+    if tangent_iters:
+        vbuf[:depth] = _initial_tangent(depth, m)
+
+    a0, a1, b, delta, alpha = p.a0, p.a1, p.b, p.delta, p.alpha
+    half_delta = 0.5 * delta
+    base = a1 / (2.0 * b)
+    l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
+
+    diverged_at = collapsed_at = None
+    acc = 0.0
+    measured = since_renorm = 0
+    for i in range(1, steps + 1):
+        t = depth + i - 1
+        q0 = buf[t - 1, 0]
+        s1 = buf[t - l1, 1:].sum()
+        buf[t, 0] = q0 + alpha * q0 * (a0 - b * q0 - b * delta * s1)
+        priv2 = buf[t - l2, 1:]
+        buf[t, 1:] = base - half_delta * buf[t - l0, 0] - half_delta * (priv2.sum() - priv2)
+        top = np.abs(buf[t]).max()
+        if top > blowup or not math.isfinite(top):
+            diverged_at = i
+            break
+        if i > tangent_iters:
+            continue
+
+        own, cross = _public_slopes(q0, s1, p)
+        vbuf[t, 0] = own * vbuf[t - 1, 0] - cross * vbuf[t - l1, 1:].sum()
+        upriv2 = vbuf[t - l2, 1:]
+        vbuf[t, 1:] = -half_delta * vbuf[t - l0, 0] - half_delta * (upriv2.sum() - upriv2)
+        window = vbuf[t - depth + 1 : t + 1]
+        if i == transient:
+            # measurement baseline: rescale once without logging
+            window /= np.linalg.norm(window)
+            continue
+        if i > transient:
+            since_renorm += 1
+            if since_renorm < renorm_interval and i < tangent_iters:
+                continue
+        elif i % 64:
+            continue
+        norm = np.linalg.norm(window)
+        if norm < 1.0e-300:
+            collapsed_at, tangent_iters = i, 0
+            continue
+        if i > transient:
+            acc += math.log(norm)
+            measured += since_renorm
+            since_renorm = 0
+        window /= norm
+
+    return _Run(buf[: depth + (diverged_at or steps)], diverged_at, acc, measured, collapsed_at)
+
+
 def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
     """One iteration of the delayed map, returning the next output vector.
 
@@ -215,21 +322,7 @@ def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
     ``q_j' = a1/(2b) - (delta/2)*q0(t - tau0) - (delta/2)*sum_{i != j} q_i(t - tau2)``.
     Negative outputs are propagated as-is; the map does not clamp.
     """
-    _check_window(history, p, d)
-    q_now = history.current
-    q0 = q_now[0]
-    priv_tau1 = history.lookback(d.tau1)[1:]
-    q0_tau0 = history.lookback(d.tau0)[0]
-    priv_tau2 = history.lookback(d.tau2)[1:]
-
-    q0_next = q0 + p.alpha * q0 * (p.a0 - p.b * q0 - p.b * p.delta * priv_tau1.sum())
-    others = priv_tau2.sum() - priv_tau2
-    priv_next = p.a1 / (2.0 * p.b) - 0.5 * p.delta * q0_tau0 - 0.5 * p.delta * others
-
-    out = np.empty(p.dimension)
-    out[0] = q0_next
-    out[1:] = priv_next
-    return out
+    return _iterate(history, p, d, 1, math.inf).states[-1].copy()
 
 
 def simulate(
@@ -247,44 +340,15 @@ def simulate(
     """
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
-    _check_window(init, p, d)
-
+    run = _iterate(init, p, d, steps, blowup)
     depth = d.tau_max + 1
-    m = p.dimension
-    buf = np.empty((depth + steps, m))
-    buf[:depth] = init.window
-
-    a0, a1, b, delta, alpha = p.a0, p.a1, p.b, p.delta, p.alpha
-    half_delta = 0.5 * delta
-    base = a1 / (2.0 * b)
-    l1 = 1 + d.tau1
-    l0 = 1 + d.tau0
-    l2 = 1 + d.tau2
-
-    diverged = False
-    diverged_at = None
-    filled = depth
-    for t in range(depth, depth + steps):
-        q0 = buf[t - 1, 0]
-        s1 = buf[t - l1, 1:].sum()
-        buf[t, 0] = q0 + alpha * q0 * (a0 - b * q0 - b * delta * s1)
-        priv2 = buf[t - l2, 1:]
-        buf[t, 1:] = base - half_delta * buf[t - l0, 0] - half_delta * (priv2.sum() - priv2)
-        filled = t + 1
-        row = buf[t]
-        if not np.all(np.isfinite(row)) or np.abs(row).max() > blowup:
-            diverged = True
-            diverged_at = init.time + (t - depth + 1)
-            break
-
-    outputs = buf[depth - 1 : filled].copy()
-    final_window = buf[filled - depth : filled].copy()
+    diverged = run.diverged_at is not None
     return Trajectory(
-        outputs=outputs,
+        outputs=run.states[depth - 1 :].copy(),
         start_time=init.time,
         diverged=diverged,
-        diverged_at=diverged_at,
-        final_window=final_window,
+        diverged_at=init.time + run.diverged_at if diverged else None,
+        final_window=run.states[-depth:].copy(),
     )
 
 
@@ -301,17 +365,16 @@ def jacobian_blocks(
     """
     _check_window(point, p, d)
     m = p.dimension
-    q0 = point.current[0]
-    s1 = point.lookback(d.tau1)[1:].sum()
+    own, cross = _public_slopes(point.current[0], point.lookback(d.tau1)[1:].sum(), p)
 
     A = np.zeros((m, m))
-    A[0, 0] = 1.0 + p.alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
+    A[0, 0] = own
 
     B0 = np.zeros((m, m))
     B0[1:, 0] = 0.5 * p.delta
 
     B1 = np.zeros((m, m))
-    B1[0, 1:] = p.b * p.alpha * p.delta * q0
+    B1[0, 1:] = cross
 
     B2 = np.zeros((m, m))
     B2[1:, 1:] = 0.5 * p.delta * (np.ones((m - 1, m - 1)) - np.eye(m - 1))
@@ -338,10 +401,8 @@ def embedded_jacobian(point: HistoryState, p: MarketParams, d: DelayConfig) -> n
     top[d.tau0] -= B0
     top[d.tau1] -= B1
     top[d.tau2] -= B2
-    for k in range(depth):
-        J[0:m, k * m : (k + 1) * m] = top[k]
-    for k in range(1, depth):
-        J[k * m : (k + 1) * m, (k - 1) * m : k * m] = np.eye(m)
+    J[:m] = top.transpose(1, 0, 2).reshape(m, depth * m)
+    J[m:, :-m] = np.eye(m * (depth - 1))  # identity blocks on the subdiagonal
     return J
 
 

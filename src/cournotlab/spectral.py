@@ -45,17 +45,19 @@ class EpsilonTriple:
     eps2: float
 
 
+def coupling_epsilons(p: MarketParams) -> tuple[float, float]:
+    """The coefficients (eps0, eps2) that do not depend on alpha."""
+    return 0.5 * p.n * p.delta**2, 0.5 * (p.n - 1) * p.delta
+
+
 def epsilon_triple(p: MarketParams) -> EpsilonTriple:
     """Reduced-polynomial coefficients for the interior equilibrium.
 
     Requires A.1 so that eps1 + 1 = alpha * k_factor stays positive.
     """
     require_assumptions(p, which=("A.1",))
-    return EpsilonTriple(
-        eps0=0.5 * p.n * p.delta**2,
-        eps1=p.alpha * k_factor(p) - 1.0,
-        eps2=0.5 * (p.n - 1) * p.delta,
-    )
+    eps0, eps2 = coupling_epsilons(p)
+    return EpsilonTriple(eps0=eps0, eps1=p.alpha * k_factor(p) - 1.0, eps2=eps2)
 
 
 class CharPolyKind(enum.Enum):

@@ -175,6 +175,28 @@ class TestSubcommands:
         assert code == 3
 
 
+    def test_non_finite_alpha_exits_two(self, capsys):
+        code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "nan",
+                     "--tau0", "3", "--tau1", "5", "--tau2", "5"])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--lyap-iters", "100", "--lyap-transient", "200"], "lyap_iters"),
+        (["--lyap-transient", "-1"], "lyap_transient"),
+        (["--perturbation", "nan"], "perturbation"),
+        (["--blowup", "-1"], "blowup"),
+    ])
+    def test_bad_sweep_spec_exits_two(self, capsys, flags, key):
+        # every cell of this sweep escapes, so no cell would reach the
+        # Lyapunov stage and expose a bad key there
+        code = main(["bifurcation-diagram", *SEC4_FLAGS, "--tau0", "2", "--tau1", "2",
+                     "--tau2", "10", "--alpha-min", "1.5", "--alpha-max", "1.55",
+                     "--alpha-steps", "2", *flags])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
 class TestDiagramDeterminism:
     DIAGRAM_FLAGS = [
         "bifurcation-diagram", *SEC4_FLAGS,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cournotlab import (
     AttractorType,
     DelayConfig,
     DivergenceError,
+    HistoryState,
     InitPolicy,
     SweepSpec,
     ValidationError,
@@ -19,6 +22,7 @@ from cournotlab import (
     reduced_char_poly,
     simulate,
 )
+from cournotlab.dynamics import diagram_cell
 
 from conftest import draw_delay_independent_delays, draw_stable_market, sec4_at
 
@@ -174,6 +178,100 @@ class TestBifurcationDiagram:
             SweepSpec(alpha_min=1.0, alpha_max=1.5, num_alpha=1)
         with pytest.raises(ValidationError):
             SweepSpec(alpha_min=1.5, alpha_max=1.0, num_alpha=5)
+
+    @pytest.mark.parametrize("bad, key", [
+        (dict(lyap_transient=-1), "lyap_transient"),
+        (dict(lyap_iters=1000, lyap_transient=1000), "lyap_iters"),
+        (dict(lyap_iters=500), "lyap_iters"),
+        (dict(perturbation=float("nan")), "perturbation"),
+        (dict(perturbation=float("inf")), "perturbation"),
+        (dict(blowup=0.0), "blowup"),
+        (dict(blowup=-1.0), "blowup"),
+        (dict(blowup=float("nan")), "blowup"),
+    ])
+    def test_spec_rejects_bad_orbit_settings(self, bad, key):
+        with pytest.raises(ValidationError, match=key):
+            SweepSpec(alpha_min=1.0, alpha_max=1.5, num_alpha=3, **bad)
+
+    def test_spec_accepts_unbounded_blowup_and_zero_lyap_transient(self):
+        spec = SweepSpec(alpha_min=1.0, alpha_max=1.5, num_alpha=3,
+                         blowup=float("inf"), lyap_transient=0)
+        assert spec.blowup == float("inf") and spec.lyap_transient == 0
+
+
+def _two_pass_cell(p, d, spec, alpha, init):
+    """Reference cell: the orbit from ``simulate``, then the exponent from a
+    second integration by ``largest_lyapunov`` from the same start."""
+    pa = dataclasses.replace(p, alpha=alpha)
+    traj = simulate(pa, d, init, spec.transient + spec.samples, blowup=spec.blowup)
+    if traj.diverged:
+        return traj.q0[1:][-spec.samples:], float("nan"), "Divergent", True, None
+    samples = traj.q0[-spec.samples:]
+    try:
+        lle = largest_lyapunov(pa, d, init, iters=spec.lyap_iters,
+                               transient=spec.lyap_transient, blowup=spec.blowup).lle
+    except DivergenceError:
+        lle = float("nan")
+    carry = HistoryState(traj.final_window, time=traj.start_time + len(traj) - 1)
+    return samples, lle, classify_attractor(samples).label, False, carry
+
+
+class TestFusedDiagramCell:
+    """``diagram_cell`` integrates orbit and tangent in one pass; every
+    field of its row and its carry must equal the two-pass result bit for
+    bit."""
+
+    D = DelayConfig(5, 3, 3)
+
+    def _assert_same(self, alpha, lyap_iters, transient=400, samples=100,
+                     policy=InitPolicy.FRESH_PERTURBED):
+        p = sec4_at(1.0)
+        spec = SweepSpec(alpha_min=1.0, alpha_max=2.0, num_alpha=2,
+                         transient=transient, samples=samples, policy=policy,
+                         lyap_transient=100, lyap_iters=lyap_iters)
+        init = default_initial_history(p, self.D)
+        row, carry = diagram_cell(p, self.D, spec, alpha, init)
+        ref_samples, ref_lle, ref_label, ref_diverged, ref_carry = _two_pass_cell(
+            p, self.D, spec, alpha, init)
+        assert np.array_equal(row.samples, ref_samples)
+        assert row.lle == ref_lle or (np.isnan(row.lle) and np.isnan(ref_lle))
+        assert row.attractor.label == ref_label
+        assert row.diverged is ref_diverged
+        if ref_carry is None:
+            assert carry is None
+        else:
+            assert np.array_equal(carry.window, ref_carry.window)
+            assert carry.time == ref_carry.time
+        return row, carry
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 1.62])
+    @pytest.mark.parametrize("lyap_iters", [500, 3000, 300])
+    def test_bounded_cells(self, alpha, lyap_iters):
+        # lyap_iters equal to, above and below transient + samples = 500
+        row, _ = self._assert_same(alpha, lyap_iters)
+        assert not row.diverged and np.isfinite(row.lle)
+
+    def test_late_escape_keeps_the_row_without_exponent(self):
+        row, carry = self._assert_same(1.64, 3000)
+        assert not row.diverged and np.isnan(row.lle)
+        assert carry is not None
+
+    @pytest.mark.parametrize("lyap_iters", [300, 3000])
+    def test_escape_within_the_samples_is_divergent(self, lyap_iters):
+        row, carry = self._assert_same(1.66, lyap_iters)
+        assert row.diverged and np.isnan(row.lle) and carry is None
+
+    def test_continued_carry_seeds_the_next_cell(self):
+        _, carry = self._assert_same(1.5, 3000, policy=InitPolicy.CONTINUED)
+        assert carry.time == 500
+        p = sec4_at(1.0)
+        spec = SweepSpec(alpha_min=1.5, alpha_max=1.51, num_alpha=2,
+                         transient=400, samples=100, policy=InitPolicy.CONTINUED,
+                         lyap_transient=100, lyap_iters=3000)
+        rows = bifurcation_diagram(p, self.D, spec)
+        second, _ = diagram_cell(p, self.D, spec, 1.51, carry)
+        assert np.array_equal(rows[1].samples, second.samples)
+        assert rows[1].lle == second.lle
 
 
 class TestPhasePortrait:

@@ -270,6 +270,19 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             DelayConfig(-1, 0, 0)
 
+    @pytest.mark.parametrize("field", ["alpha", "b", "a0", "a1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inputs_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            MarketParams(**{**SEC4, field: value})
+
+    @pytest.mark.parametrize("field", ["a", "c0", "c"])
+    def test_non_finite_primitives_rejected(self, field):
+        primitives = dict(a=3.0, c0=1.0, c=0.5)
+        with pytest.raises(ValidationError, match=field):
+            MarketParams(b=1.0, delta=0.4, alpha=1.0, n=4,
+                         **{**primitives, field: float("inf")})
+
     def test_dataclass_replace_revalidates(self, sec4):
         q = dataclasses.replace(sec4, alpha=1.3)
         assert q.alpha == 1.3 and q.a0 == sec4.a0
