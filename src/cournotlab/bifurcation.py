@@ -1,11 +1,10 @@
 """Stability-loss boundaries of the interior equilibrium.
 
-Two routes are provided: closed forms (the flip condition with its four
-delay-parity cases and the unit-circle crossing curve for Neimark-Sacker
-points) and a purely numerical first-crossing detector that scans the
-reduced polynomial's root moduli over the adjustment speed.  The
-numerical route defines "stability loss" operationally; the closed forms
-are candidates that need not be the first crossing.
+Closed forms locate every crossing: the flip condition with its four
+delay-parity cases and the unit-circle crossing curve for
+Neimark-Sacker points.  The first loss of stability over an alpha
+bracket is the smallest of these candidates above the bracket start,
+certified by the reduced polynomial's root moduli on either side.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ from .errors import (
 from .model import DelayConfig, MarketParams
 from .spectral import EpsilonTriple, coupling_epsilons, k_factor, reduced_char_poly
 
-FLIP_ANGLE_TOL = 1.0e-3
 THETA_MIN = 1.0e-3
 NS_RESIDUAL_TOL = 1.0e-8
+CERTIFICATE_STEP = 1.0e-4
 
 
 class BifurcationKind(enum.Enum):
@@ -217,28 +216,27 @@ def ns_boundary(
     return points
 
 
-def _max_modulus(eps0: float, eps2: float, eps1: float, d: DelayConfig) -> tuple[float, complex]:
-    eps = EpsilonTriple(eps0, eps1, eps2)
-    cp = reduced_char_poly(eps, d)
-    roots = np.roots(cp.coeffs[::-1])
-    moduli = np.abs(roots)
-    idx = int(np.argmax(moduli))
-    return float(moduli[idx]), complex(roots[idx])
+def _max_modulus(eps0: float, eps2: float, eps1: float, d: DelayConfig) -> float:
+    cp = reduced_char_poly(EpsilonTriple(eps0, eps1, eps2), d)
+    return float(np.abs(np.roots(cp.coeffs[::-1])).max())
 
 
 def critical_alpha(
-    p: MarketParams,
-    d: DelayConfig,
-    alpha_range: tuple[float, float],
-    coarse_points: int = 200,
-    alpha_tol: float = 1.0e-4,
+    p: MarketParams, d: DelayConfig, alpha_range: tuple[float, float]
 ) -> BifurcationPoint:
     """First loss of stability of the interior equilibrium over an alpha bracket.
 
-    Scans the maximal root modulus of the reduced polynomial on a coarse
-    alpha grid, then bisects the first crossing of modulus one down to
-    ``alpha_tol``.  The kind is read off the crossing root's angle: within
-    1e-3 of pi it is a flip, otherwise a Neimark-Sacker crossing.
+    Roots of the reduced polynomial reach the unit circle only at the
+    flip point, at a Neimark-Sacker point or at lambda = 1, and
+    P(1) = (eps1 + 1)(eps0 - 1 - eps2) vanishes only at alpha = 0.  So
+    when the equilibrium is stable at the bracket start, the first loss
+    is the smallest closed-form candidate of ``flip_boundary`` and
+    ``ns_boundary`` in ``(alpha_lo, alpha_hi]``, returned as it is.  The
+    maximal root modulus certifies the result: below one at the bracket
+    start and ``CERTIFICATE_STEP`` before the crossing, above one
+    ``CERTIFICATE_STEP`` after it.  Raises NotStableAtStartError,
+    NoCrossingError when no candidate lies in the bracket, and
+    NumericalError when the certificate fails.
     """
     require_assumptions(p, which=("A.1",))
     alpha_lo, alpha_hi = alpha_range
@@ -247,47 +245,34 @@ def critical_alpha(
     eps0, eps2 = coupling_epsilons(p)
     kfac = k_factor(p)
 
-    def modulus_at(alpha: float) -> tuple[float, complex]:
+    def modulus_at(alpha: float) -> float:
         return _max_modulus(eps0, eps2, alpha * kfac - 1.0, d)
 
-    grid = np.linspace(alpha_lo, alpha_hi, coarse_points)
-    m0, _ = modulus_at(grid[0])
+    m0 = modulus_at(alpha_lo)
     if m0 >= 1.0:
         raise NotStableAtStartError(
-            f"max root modulus {m0:.6f} >= 1 at the bracket start alpha = {grid[0]}"
+            f"max root modulus {m0:.6f} >= 1 at the bracket start alpha = {alpha_lo}"
         )
-    crossing_idx = None
-    for i in range(1, coarse_points):
-        m, _ = modulus_at(grid[i])
-        if m >= 1.0:
-            crossing_idx = i
-            break
-    if crossing_idx is None:
+    candidates = ns_boundary(p, d)
+    try:
+        candidates.append(flip_boundary(p, d))
+    except NumericalError:
+        pass  # degenerate or nonpositive flip condition: no flip candidate
+    inside = [pt for pt in candidates if alpha_lo < pt.alpha_crit <= alpha_hi]
+    if not inside:
         raise NoCrossingError(
             f"no modulus-1 crossing of the reduced polynomial in alpha bracket {alpha_range}"
         )
-
-    lo, hi = float(grid[crossing_idx - 1]), float(grid[crossing_idx])
-    while hi - lo > alpha_tol:
-        mid = 0.5 * (lo + hi)
-        m, _ = modulus_at(mid)
-        if m >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    alpha_c = 0.5 * (lo + hi)
-    _, root = modulus_at(alpha_c)
-    theta = abs(cmath.phase(root))
-    kind = (
-        BifurcationKind.FLIP
-        if abs(theta - math.pi) < FLIP_ANGLE_TOL
-        else BifurcationKind.NEIMARK_SACKER
-    )
-    eps1 = alpha_c * kfac - 1.0
-    residual = _residual_on_circle(EpsilonTriple(eps0, eps1, eps2), d, root)
-    return BifurcationPoint(
-        alpha_crit=alpha_c, kind=kind, theta=theta, eps1=eps1, residual=residual
-    )
+    first = min(inside, key=lambda pt: pt.alpha_crit)
+    c = first.alpha_crit
+    below = modulus_at(max(alpha_lo, c - CERTIFICATE_STEP))
+    above = modulus_at(c + CERTIFICATE_STEP)
+    if not below < 1.0 < above:
+        raise NumericalError(
+            f"crossing at alpha = {c} fails its certificate: max root modulus "
+            f"{below} before it and {above} after it"
+        )
+    return first
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ do not depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -239,9 +240,7 @@ def _cmd_critical_alpha(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
     alpha_min, alpha_max = cfg.require("alpha_min", "alpha_max")
-    bp = bifurcation.critical_alpha(
-        p, d, (alpha_min, alpha_max), coarse_points=cfg.get("coarse_points")
-    )
+    bp = bifurcation.critical_alpha(p, d, (alpha_min, alpha_max))
     payload = {
         "config": _config_payload(cfg),
         "kind": bp.kind.value,
@@ -345,6 +344,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cournotlab",

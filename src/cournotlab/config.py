@@ -43,7 +43,6 @@ KEY_SPECS = (
     ("lyap_transient", int),
     ("renorm_interval", int),
     ("theta_points", int),
-    ("coarse_points", int),
     ("workers", int),
     ("out", str),
 )
@@ -71,7 +70,6 @@ DEFAULTS = {
     "lyap_transient": 1000,
     "renorm_interval": 1,
     "theta_points": 4096,
-    "coarse_points": 200,
     "workers": 1,
 }
 

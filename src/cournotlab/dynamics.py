@@ -150,12 +150,14 @@ def largest_lyapunov(
     the orbit (only the public-firm row of the Jacobian depends on the
     state), renormalizing every ``renorm_interval`` steps and averaging
     the logged stretch factors over the ``iters - transient`` measured
-    steps.
+    steps; ``transient`` must lie in ``[0, iters)``.
 
     Raises DivergenceError if the orbit leaves the blow-up bound.
     """
-    if iters <= transient:
-        raise ValidationError(f"iters ({iters}) must exceed transient ({transient})")
+    if not 0 <= transient < iters:
+        raise ValidationError(
+            f"need 0 <= transient < iters, got transient={transient}, iters={iters}"
+        )
     if renorm_interval < 1:
         raise ValidationError("renorm_interval must be >= 1")
     run = _iterate(

@@ -336,10 +336,12 @@ def simulate(
 
     Stops early with the divergence flag once any coordinate of a newly
     produced state exceeds ``blowup`` in absolute value or is not finite;
-    the offending state is still recorded.
+    the offending state is still recorded.  ``blowup`` must be positive.
     """
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
+    if not blowup > 0.0:
+        raise ValidationError(f"blowup must be positive, got {blowup}")
     run = _iterate(init, p, d, steps, blowup)
     depth = d.tau_max + 1
     diverged = run.diverged_at is not None

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cournotlab import (
     BifurcationKind,
+    BifurcationPoint,
     DelayConfig,
     MarketParams,
     NoCrossingError,
@@ -13,11 +15,14 @@ from cournotlab import (
     NumericalError,
     ParityCase,
     critical_alpha,
+    epsilon_triple,
     flip_boundary,
+    k_factor,
     ns_boundary,
     reduced_char_poly,
     stability_region,
 )
+from cournotlab import bifurcation
 from cournotlab.spectral import EpsilonTriple
 
 
@@ -147,6 +152,97 @@ class TestCriticalAlpha:
     def test_residual_certificate(self, sec4):
         bp = critical_alpha(sec4, DelayConfig(3, 5, 5), (1.0, 1.5))
         assert bp.residual < 1e-8
+
+
+def _scan_modulus(p, d):
+    eps = epsilon_triple(p)
+    kfac = k_factor(p)
+
+    def modulus_at(alpha):
+        cp = reduced_char_poly(dataclasses.replace(eps, eps1=alpha * kfac - 1.0), d)
+        roots = np.roots(cp.coeffs[::-1])
+        idx = int(np.argmax(np.abs(roots)))
+        return float(abs(roots[idx])), complex(roots[idx])
+
+    return modulus_at
+
+
+def _scan_first_crossing(p, d, alpha_range, points=200, tol=1e-4):
+    """Reference first crossing by a second route: a root-modulus grid scan,
+    then bisection of the first crossing down to ``tol``.  The kind is read
+    off the crossing root's angle."""
+    modulus_at = _scan_modulus(p, d)
+    grid = np.linspace(*alpha_range, points)
+    first = next(i for i, a in enumerate(grid) if modulus_at(a)[0] >= 1.0)
+    assert first > 0, "the scan bracket must start stable"
+    lo, hi = float(grid[first - 1]), float(grid[first])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if modulus_at(mid)[0] >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    alpha = 0.5 * (lo + hi)
+    theta = abs(cmath.phase(modulus_at(alpha)[1]))
+    kind = BifurcationKind.FLIP if abs(theta - math.pi) < 1e-3 else BifurcationKind.NEIMARK_SACKER
+    return alpha, kind
+
+
+# (tau0 + tau1, tau2) strata where the equilibrium loses stability, regains
+# it and loses it again inside (0.5, 3.0)
+REGAINING_STRATA = [(0, 9), (3, 8), (3, 13), (6, 9), (10, 13), (14, 17), (18, 21)]
+GRID_STRATA = [(tau, tau2) for tau in range(0, 31, 3) for tau2 in range(0, 31, 3)]
+
+
+class TestCriticalAlphaAgainstScan:
+    @pytest.mark.parametrize("tau, tau2", sorted(set(GRID_STRATA) | set(REGAINING_STRATA)))
+    def test_matches_modulus_scan(self, sec4, tau, tau2):
+        d = DelayConfig(0, tau, tau2)
+        bp = critical_alpha(sec4, d, (0.5, 3.0))
+        alpha, kind = _scan_first_crossing(sec4, d, (0.5, 3.0))
+        assert bp.kind is kind
+        assert abs(bp.alpha_crit - alpha) <= 1e-4
+
+    @pytest.mark.parametrize("tau, tau2", REGAINING_STRATA)
+    def test_regaining_strata_regain_stability(self, sec4, tau, tau2):
+        modulus_at = _scan_modulus(sec4, DelayConfig(0, tau, tau2))
+        unstable = [modulus_at(a)[0] >= 1.0 for a in np.linspace(0.5, 3.0, 200)]
+        first = unstable.index(True)
+        assert not all(unstable[first:])
+
+    def test_first_loss_not_the_regained_window(self, sec4):
+        bp = critical_alpha(sec4, DelayConfig(0, 0, 9), (0.5, 3.0))
+        assert bp.kind is BifurcationKind.NEIMARK_SACKER
+        assert bp.alpha_crit == pytest.approx(1.4552, abs=1e-4)
+
+    def test_bracket_starting_in_the_regained_window(self, sec4):
+        # (0,0,9) is stable again on (1.7245, 16/9); candidates below the
+        # bracket start do not count
+        d = DelayConfig(0, 0, 9)
+        bp = critical_alpha(sec4, d, (1.75, 3.0))
+        assert bp.kind is BifurcationKind.FLIP
+        assert bp.alpha_crit == pytest.approx(16.0 / 9.0, abs=1e-12)
+        alpha, kind = _scan_first_crossing(sec4, d, (1.75, 3.0))
+        assert kind is bp.kind and abs(bp.alpha_crit - alpha) <= 1e-4
+
+    def test_candidate_failing_its_certificate_raises(self, sec4, monkeypatch):
+        # a candidate where no root reaches the circle: stable on both sides
+        fake = BifurcationPoint(1.2, BifurcationKind.NEIMARK_SACKER, 1.0, 0.125, 0.0)
+        monkeypatch.setattr(bifurcation, "ns_boundary", lambda p, d: [fake])
+        with pytest.raises(NumericalError, match="1.2"):
+            critical_alpha(sec4, DelayConfig(5, 3, 3), (1.0, 1.6))
+
+    def test_three_root_extractions_per_call(self, sec4, monkeypatch):
+        calls = []
+        real_roots = np.roots
+
+        def counting_roots(coeffs):
+            calls.append(coeffs)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        critical_alpha(sec4, DelayConfig(9, 7, 5), (1.0, 1.7))
+        assert len(calls) == 3
 
 
 class TestStabilityRegion:

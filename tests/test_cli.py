@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cournotlab.cli import main
+from cournotlab.cli import _build_parser, main
 from cournotlab.config import RunConfig, parse_config, parse_config_text
 from cournotlab.errors import ConfigError
 
@@ -59,6 +59,23 @@ class TestConfigParsing:
         code = main(["equilibria", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
         assert "config" in capsys.readouterr().err
+
+    def test_removed_coarse_points_key_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("n=4\ncoarse_points=200\n")
+        assert main(["equilibria", "--config", str(path)]) == 2
+        assert "coarse_points" in capsys.readouterr().err
+        assert main(["equilibria", *SEC4_FLAGS, "--coarse-points", "200"]) == 2
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_bad_flag_after_a_good_call_exits_two(self, capsys):
+        assert main(["equilibria", *SEC4_FLAGS]) == 0
+        assert main(["equilibria", *SEC4_FLAGS, "--bogus", "1"]) == 2
+        assert "--bogus" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -168,6 +185,23 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lle"] < 0.0
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_simulate_bad_blowup_exits_two(self, capsys, value):
+        code = main(["simulate", *SEC4_FLAGS, "--alpha", "1.66",
+                     "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--steps", "700", "--blowup", value])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "blowup" in out.err and out.out == ""
+
+    def test_lyapunov_negative_transient_exits_two(self, capsys):
+        code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.0",
+                     "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--lyap-iters", "3000", "--lyap-transient", "-50"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "transient" in out.err and out.out == ""
 
     def test_lyapunov_divergence_exits_three(self, capsys):
         code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.65",
