@@ -4,8 +4,8 @@ the parallel sweep harness.
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical
 failure (no crossing in a bracket, fatal divergence).  Output files are
 byte-stable: fixed column order, 17-significant-digit floats, LF line
-endings, and a config echo that excludes execution-only keys so results
-do not depend on the worker count.
+endings, and a config echo of the keys the subcommand reads, without the
+execution-only keys, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,36 +13,33 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import bifurcation, dynamics, equilibria, spectral
-from .config import KEY_TYPES, NON_EXPERIMENT_KEYS, RunConfig, parse_config
-from .errors import ConfigError, CournotError, NumericalError, ValidationError
+from .config import KEY_SPECS, RunConfig, parse_config
+from .errors import ConfigError, CournotError, NumericalError
 from .model import DelayConfig, MarketParams, simulate
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
-def fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.16e}"
-    return str(x)
+def _json_text(cfg: RunConfig, payload: dict) -> str:
+    return json.dumps({"config": cfg.echo(), **payload}, indent=2) + "\n"
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv_text(cfg: RunConfig, columns: list[str], rows, extra_comments=()) -> str:
-    lines = list(cfg.header_lines())
+def _csv_text(cfg: RunConfig, columns: dict, rows, extra_comments=()) -> str:
+    """``columns`` maps each column name to its type; float columns print
+    with 17 significant digits.  Each row is a tuple."""
+    row_format = ",".join("%.16e" if typ is float else "%s" for typ in columns.values())
+    lines = [f"# {key}={value}" for key, value in cfg.echo().items()]
     lines.extend(extra_comments)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -60,17 +57,9 @@ def _write(cfg: RunConfig, text: str) -> None:
 
 
 def market_from_config(cfg: RunConfig) -> MarketParams:
-    n = cfg.require("n")
-    delta = cfg.require("delta")
-    b = cfg.require("b")
-    alpha = cfg.require("alpha")
-    kwargs = dict(b=b, delta=delta, alpha=alpha, n=n)
-    for key in ("a0", "a1", "a", "c0", "c"):
-        if cfg.get(key) is not None:
-            kwargs[key] = cfg.get(key)
-    if "a0" not in kwargs and "a" not in kwargs:
-        raise ConfigError("market needs either (a0, a1) or (a, c0, c)")
-    return MarketParams(**kwargs)
+    n, delta, b, alpha = cfg.require("n", "delta", "b", "alpha")
+    optional = {key: cfg.get(key) for key in ("a0", "a1", "a", "c0", "c")}
+    return MarketParams(b=b, delta=delta, alpha=alpha, n=n, **optional)
 
 
 def delays_from_config(cfg: RunConfig) -> DelayConfig:
@@ -104,16 +93,13 @@ def sweep_from_config(cfg: RunConfig) -> dynamics.SweepSpec:
 # sweep harness
 
 
-def _diagram_cell(args) -> dynamics.DiagramRow:
-    p, d, spec, alpha = args
-    return dynamics.fresh_cell(p, d, spec, alpha)
-
-
 def run_cells(fn, cells, workers: int):
-    """Evaluate independent cells, preserving input order."""
-    if workers <= 1:
-        return [fn(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    """Evaluate independent cells in a process pool, preserving input order.
+
+    The pool starts all its processes at once, so it is no larger than
+    the cell count or the number of CPUs.
+    """
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, cells))
 
 
@@ -126,7 +112,6 @@ def _cmd_equilibria(cfg: RunConfig) -> None:
     report = equilibria.check_assumptions(p)
     e0 = equilibria.boundary_equilibrium(p)
     payload = {
-        "config": _config_payload(cfg),
         "q_star": e0.point[1],
         "e_zero": list(e0.point),
         "e_zero_residual": e0.residual,
@@ -147,7 +132,7 @@ def _cmd_equilibria(cfg: RunConfig) -> None:
         payload["q0_star"] = None
         payload["q1_star"] = None
         payload["e_plus"] = None
-    _write(cfg, _json_text(payload))
+    _write(cfg, _json_text(cfg, payload))
 
 
 def _cmd_simulate(cfg: RunConfig) -> None:
@@ -156,8 +141,8 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     steps = cfg.require("steps")
     init = dynamics.default_initial_history(p, d, cfg.get("perturbation"))
     traj = simulate(p, d, init, steps, blowup=cfg.get("blowup"))
-    columns = ["t"] + [f"q{i}" for i in range(p.dimension)]
-    rows = [[traj.start_time + k] + list(traj.outputs[k]) for k in range(len(traj))]
+    columns = {"t": int, **{f"q{i}": float for i in range(p.dimension)}}
+    rows = ((traj.start_time + k, *q) for k, q in enumerate(traj.outputs.tolist()))
     text = _csv_text(cfg, columns, rows, extra_comments=[f"# diverged={str(traj.diverged).lower()}"])
     _write(cfg, text)
 
@@ -188,14 +173,13 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
         )
     roots = sorted(report.roots, key=lambda z: (-abs(z), z.real, z.imag))
     payload = {
-        "config": _config_payload(cfg),
         "which": which,
         "roots": [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in roots],
         "classification": report.classification.value,
         "max_modulus": report.max_modulus,
         "on_circle_count": report.on_circle_count,
     }
-    _write(cfg, _json_text(payload))
+    _write(cfg, _json_text(cfg, payload))
 
 
 def _cmd_stability_region(cfg: RunConfig) -> None:
@@ -206,8 +190,9 @@ def _cmd_stability_region(cfg: RunConfig) -> None:
         cfg.values["delta"] = float(grid[0])
     p = market_from_config(cfg)
     rows = bifurcation.stability_region(p, grid)
-    csv_rows = [[r.delta, r.alpha_max, str(r.feasible).lower()] for r in rows]
-    _write(cfg, _csv_text(cfg, ["delta", "alpha_max", "feasible"], csv_rows))
+    csv_rows = [(r.delta, r.alpha_max, str(r.feasible).lower()) for r in rows]
+    columns = {"delta": float, "alpha_max": float, "feasible": str}
+    _write(cfg, _csv_text(cfg, columns, csv_rows))
 
 
 def _cmd_flip_boundary(cfg: RunConfig) -> None:
@@ -216,7 +201,6 @@ def _cmd_flip_boundary(cfg: RunConfig) -> None:
     bp = bifurcation.flip_boundary(p, d)
     parity = bifurcation.ParityCase.from_delays(d)
     payload = {
-        "config": _config_payload(cfg),
         "kind": bp.kind.value,
         "alpha": bp.alpha_crit,
         "theta": bp.theta,
@@ -225,15 +209,16 @@ def _cmd_flip_boundary(cfg: RunConfig) -> None:
         "sum_parity": parity.sum_parity,
         "tau2_parity": parity.tau2_parity,
     }
-    _write(cfg, _json_text(payload))
+    _write(cfg, _json_text(cfg, payload))
 
 
 def _cmd_ns_curve(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
     pts = bifurcation.ns_boundary(p, d, scan_points=cfg.get("theta_points"))
-    rows = [[pt.theta, pt.eps1, pt.alpha_crit, pt.residual] for pt in pts]
-    _write(cfg, _csv_text(cfg, ["theta", "eps1", "alpha", "residual"], rows))
+    rows = [(pt.theta, pt.eps1, pt.alpha_crit, pt.residual) for pt in pts]
+    columns = {"theta": float, "eps1": float, "alpha": float, "residual": float}
+    _write(cfg, _csv_text(cfg, columns, rows))
 
 
 def _cmd_critical_alpha(cfg: RunConfig) -> None:
@@ -242,35 +227,36 @@ def _cmd_critical_alpha(cfg: RunConfig) -> None:
     alpha_min, alpha_max = cfg.require("alpha_min", "alpha_max")
     bp = bifurcation.critical_alpha(p, d, (alpha_min, alpha_max))
     payload = {
-        "config": _config_payload(cfg),
         "kind": bp.kind.value,
         "alpha": bp.alpha_crit,
         "theta": bp.theta,
         "eps1": bp.eps1,
         "residual": bp.residual,
     }
-    _write(cfg, _json_text(payload))
+    _write(cfg, _json_text(cfg, payload))
 
 
 def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:
+    workers = cfg.get("workers")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
     spec = sweep_from_config(cfg)
-    workers = cfg.get("workers", 1)
     if spec.policy is dynamics.InitPolicy.FRESH_PERTURBED and workers > 1:
-        cells = [(p, d, spec, float(a)) for a in spec.alphas]
-        rows = run_cells(_diagram_cell, cells, workers)
+        cell = functools.partial(dynamics.fresh_cell, p, d, spec)
+        rows = run_cells(cell, [float(a) for a in spec.alphas], workers)
     else:
         rows = dynamics.bifurcation_diagram(p, d, spec)
-    csv_rows = []
-    for row in rows:
-        label = row.attractor.label
-        for idx, q0 in enumerate(row.samples):
-            csv_rows.append([row.alpha, idx, q0, row.lle, label])
-    _write(
-        cfg,
-        _csv_text(cfg, ["alpha", "sample_index", "q0", "lle", "attractor_type"], csv_rows),
+    csv_rows = (
+        (row.alpha, idx, q0, row.lle, row.attractor.label)
+        for row in rows
+        for idx, q0 in enumerate(row.samples.tolist())
     )
+    columns = {
+        "alpha": float, "sample_index": int, "q0": float, "lle": float, "attractor_type": str,
+    }
+    _write(cfg, _csv_text(cfg, columns, csv_rows))
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> None:
@@ -287,60 +273,68 @@ def _cmd_lyapunov(cfg: RunConfig) -> None:
         blowup=cfg.get("blowup"),
     )
     payload = {
-        "config": _config_payload(cfg),
         "lle": est.lle,
         "iters": est.iters,
         "transient": est.transient,
         "renorm_interval": est.renorm_interval,
     }
-    _write(cfg, _json_text(payload))
+    _write(cfg, _json_text(cfg, payload))
 
 
 def _cmd_phase_portrait(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
-    spec = dynamics.SweepSpec(
-        alpha_min=p.alpha,
-        alpha_max=p.alpha + 1.0,
-        num_alpha=2,
-        transient=cfg.get("transient"),
-        samples=cfg.get("samples"),
-        perturbation=cfg.get("perturbation"),
-        blowup=cfg.get("blowup"),
+    transient = cfg.get("transient")
+    portrait = dynamics.phase_portrait(
+        p, d, transient, cfg.get("samples"), cfg.get("perturbation"), cfg.get("blowup")
     )
-    portrait = dynamics.phase_portrait(p, d, p.alpha, spec)
-    t0 = spec.transient + 1
-    rows = [[t0 + k, pt[0], pt[1]] for k, pt in enumerate(portrait.points)]
+    rows = ((transient + 1 + k, q0, q1) for k, (q0, q1) in enumerate(portrait.points.tolist()))
     text = _csv_text(
         cfg,
-        ["t", "q0", "q1"],
+        {"t": int, "q0": float, "q1": float},
         rows,
         extra_comments=[f"# diverged={str(portrait.diverged).lower()}"],
     )
     _write(cfg, text)
 
 
-def _config_payload(cfg: RunConfig) -> dict:
-    return {
-        key: cfg.values[key]
-        for key in KEY_TYPES
-        if key in cfg.values
-        and cfg.values[key] is not None
-        and key not in NON_EXPERIMENT_KEYS
-    }
+# each subcommand with the configuration keys it reads; the table sets its
+# flags, the keys taken from a config file and the keys its output echoes
+MARKET = ("n", "delta", "alpha", "b", "a0", "a1", "a", "c0", "c")
+DELAYS = ("tau0", "tau1", "tau2")
+ORBIT = ("transient", "samples", "perturbation", "blowup")
+
+
+def _keys(*names) -> frozenset:
+    return frozenset(names) | {"out"}
 
 
 COMMANDS = {
-    "equilibria": _cmd_equilibria,
-    "simulate": _cmd_simulate,
-    "spectrum": _cmd_spectrum,
-    "stability-region": _cmd_stability_region,
-    "flip-boundary": _cmd_flip_boundary,
-    "ns-curve": _cmd_ns_curve,
-    "critical-alpha": _cmd_critical_alpha,
-    "bifurcation-diagram": _cmd_bifurcation_diagram,
-    "lyapunov": _cmd_lyapunov,
-    "phase-portrait": _cmd_phase_portrait,
+    "equilibria": (_cmd_equilibria, _keys(*MARKET)),
+    "simulate": (_cmd_simulate, _keys(*MARKET, *DELAYS, "steps", "perturbation", "blowup")),
+    "spectrum": (_cmd_spectrum, _keys(*MARKET, *DELAYS, "which")),
+    "stability-region": (
+        _cmd_stability_region,
+        _keys(*MARKET, "delta_min", "delta_max", "delta_steps"),
+    ),
+    "flip-boundary": (_cmd_flip_boundary, _keys(*MARKET, *DELAYS)),
+    "ns-curve": (_cmd_ns_curve, _keys(*MARKET, *DELAYS, "theta_points")),
+    "critical-alpha": (_cmd_critical_alpha, _keys(*MARKET, *DELAYS, "alpha_min", "alpha_max")),
+    "bifurcation-diagram": (
+        _cmd_bifurcation_diagram,
+        _keys(
+            *MARKET, *DELAYS, *ORBIT, "alpha_min", "alpha_max", "alpha_steps", "policy",
+            "lyap_iters", "lyap_transient", "workers",
+        ),
+    ),
+    "lyapunov": (
+        _cmd_lyapunov,
+        _keys(
+            *MARKET, *DELAYS, "perturbation", "blowup",
+            "lyap_iters", "lyap_transient", "renorm_interval",
+        ),
+    ),
+    "phase-portrait": (_cmd_phase_portrait, _keys(*MARKET, *DELAYS, *ORBIT)),
 }
 
 
@@ -351,25 +345,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Delayed mixed-oligopoly Cournot map laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", dest="config_file", default=None, metavar="FILE")
-        for key, typ in KEY_TYPES.items():
-            flag = "--" + key.replace("_", "-")
-            sp.add_argument(flag, dest=f"key_{key}", type=typ, default=None)
+        for key, typ in KEY_SPECS:
+            if key in keys:
+                flag = "--" + key.replace("_", "-")
+                sp.add_argument(flag, dest=f"key_{key}", type=typ, default=None)
     return parser
 
 
 def build_config(args) -> RunConfig:
-    if args.config_file:
-        cfg = parse_config(args.config_file)
-    else:
-        cfg = RunConfig.with_defaults()
-    for key in KEY_TYPES:
-        value = getattr(args, f"key_{key}", None)
+    """Defaults, then the config file, then the flags, restricted to the
+    keys the subcommand reads.  A config file may hold any known key, so
+    that one file serves several subcommands."""
+    cfg = parse_config(args.config_file) if args.config_file else RunConfig.with_defaults()
+    _, keys = COMMANDS[args.command]
+    for key in keys:
+        value = getattr(args, f"key_{key}")
         if value is not None:
             cfg.set(key, value)
-    return cfg
+    return RunConfig({key: value for key, value in cfg.values.items() if key in keys})
 
 
 def main(argv=None) -> int:
@@ -378,16 +374,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, _ = COMMANDS[args.command]
     try:
-        cfg = build_config(args)
-        COMMANDS[args.command](cfg)
+        handler(build_config(args))
         return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CournotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

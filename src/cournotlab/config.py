@@ -115,31 +115,25 @@ class RunConfig:
 
     def emit_lines(self) -> list[str]:
         """All set keys in canonical order, one 'key=value' per line."""
-        lines = []
-        for key in KEY_ORDER:
-            if key in self.values and self.values[key] is not None:
-                lines.append(f"{key}={_format_value(self.values[key])}")
-        return lines
+        # str() of a float is its shortest round-trip form
+        return [
+            f"{key}={self.values[key]}" for key in KEY_ORDER if self.values.get(key) is not None
+        ]
 
     def emit(self) -> str:
         return "\n".join(self.emit_lines()) + "\n"
 
-    def header_lines(self) -> list[str]:
-        """Config echo for output files, without execution-only keys."""
-        return [
-            f"# {line}"
-            for line in self.emit_lines()
-            if line.split("=", 1)[0] not in NON_EXPERIMENT_KEYS
-        ]
+    def echo(self) -> dict:
+        """The configuration an output file records: the set keys in
+        canonical order, without the execution-only keys."""
+        return {
+            key: self.values[key]
+            for key in KEY_ORDER
+            if self.values.get(key) is not None and key not in NON_EXPERIMENT_KEYS
+        }
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.values == other.values
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip form
-    return str(value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

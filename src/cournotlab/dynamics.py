@@ -50,8 +50,6 @@ class SweepSpec:
     def __post_init__(self):
         if self.num_alpha < 2:
             raise ValidationError(f"need at least 2 grid points, got {self.num_alpha}")
-        if self.transient < 1 or self.samples < 1:
-            raise ValidationError("transient and samples must both be >= 1")
         if not self.alpha_min < self.alpha_max:
             raise ValidationError(f"empty alpha range [{self.alpha_min}, {self.alpha_max}]")
         if not 0 <= self.lyap_transient < self.lyap_iters:
@@ -59,14 +57,20 @@ class SweepSpec:
                 f"need 0 <= lyap_transient < lyap_iters, got lyap_transient={self.lyap_transient}"
                 f" and lyap_iters={self.lyap_iters}"
             )
-        if not math.isfinite(self.perturbation):
-            raise ValidationError(f"perturbation must be finite, got {self.perturbation}")
+        _check_orbit(self.transient, self.samples, self.perturbation)
         if not self.blowup > 0.0:
             raise ValidationError(f"blowup must be positive, got {self.blowup}")
 
     @property
     def alphas(self) -> np.ndarray:
         return np.linspace(self.alpha_min, self.alpha_max, self.num_alpha)
+
+
+def _check_orbit(transient: int, samples: int, perturbation: float) -> None:
+    if transient < 1 or samples < 1:
+        raise ValidationError("transient and samples must both be >= 1")
+    if not math.isfinite(perturbation):
+        raise ValidationError(f"perturbation must be finite, got {perturbation}")
 
 
 @dataclass(frozen=True)
@@ -253,12 +257,18 @@ class PhasePortrait:
 
 
 def phase_portrait(
-    p: MarketParams, d: DelayConfig, alpha: float, spec: SweepSpec
+    p: MarketParams,
+    d: DelayConfig,
+    transient: int = 2000,
+    samples: int = 200,
+    perturbation: float = DEFAULT_PERTURBATION,
+    blowup: float = DEFAULT_BLOWUP,
 ) -> PhasePortrait:
-    """Post-transient (q0(t), q1(t)) pairs at one adjustment speed."""
-    pa = dataclasses.replace(p, alpha=alpha)
-    init = default_initial_history(pa, d, spec.perturbation)
-    traj = simulate(pa, d, init, spec.transient + spec.samples, blowup=spec.blowup)
+    """The ``samples`` (q0(t), q1(t)) pairs after ``transient`` steps at the
+    adjustment speed ``p.alpha``."""
+    _check_orbit(transient, samples, perturbation)
+    init = default_initial_history(p, d, perturbation)
+    traj = simulate(p, d, init, transient + samples, blowup=blowup)
     # skip row 0, the start; a bounded orbit's samples never reach it
-    pts = traj.outputs[1:, :2][-spec.samples :]
-    return PhasePortrait(points=pts.copy(), alpha=alpha, diverged=traj.diverged)
+    pts = traj.outputs[1:, :2][-samples:]
+    return PhasePortrait(points=pts.copy(), alpha=p.alpha, diverged=traj.diverged)

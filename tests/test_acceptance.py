@@ -130,7 +130,7 @@ def test_criterion_04_stability_loss_mixed_parity(sec4):
         # 1.5470 and confirmed by the closed form and by the eigenvalues
         # of the delay-embedded Jacobian on both sides.
         ("first crossing alpha = 1.5470 +/- 1e-3", abs(a - 1.5470) <= 1e-3),
-        ("within alpha_tol 1e-4 of the smallest ns_boundary candidate",
+        ("within 1e-4 of the smallest ns_boundary candidate",
          abs(a - first_ns) <= 1e-4),
         ("embedded Jacobian spectral radius < 1 at crossing - 1e-3, > 1 at + 1e-3",
          _spectral_radius(a - 1e-3, d) < 1.0 < _spectral_radius(a + 1e-3, d)),

@@ -1,10 +1,14 @@
+import argparse
 import json
 import re
 
 import pytest
 
-from cournotlab.cli import _build_parser, main
-from cournotlab.config import RunConfig, parse_config, parse_config_text
+from cournotlab import bifurcation, cli
+from cournotlab.cli import COMMANDS, _build_parser, main
+from cournotlab.config import (
+    KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
+)
 from cournotlab.errors import ConfigError
 
 SEC4_FLAGS = ["--n", "4", "--delta", "0.4", "--a0", "2", "--a1", "2.5", "--b", "1"]
@@ -44,6 +48,10 @@ class TestConfigParsing:
     def test_malformed_value_reports_line(self):
         with pytest.raises(ConfigError, match=":1"):
             parse_config_text("n=four\n")
+
+    def test_echo_keeps_canonical_order_without_execution_keys(self):
+        cfg = RunConfig({"workers": 2, "tau0": 3, "out": "x.csv", "n": 4, "alpha": 1.0 + 1e-13})
+        assert list(cfg.echo().items()) == [("n", 4), ("alpha", 1.0 + 1e-13), ("tau0", 3)]
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# header\n\nn=4  # inline\n")
@@ -281,3 +289,171 @@ class TestDiagramDeterminism:
         rows_override = [l for l in override.read_text().splitlines() if not l.startswith("#")]
         assert len(rows_base) == 1 + 3 * 10
         assert len(rows_override) == 1 + 3 * 5
+
+
+# one valid value for every key, shared by all subcommands; (a, c0, c)
+# agree with the gaps (a0, a1)
+SHARED_CONFIG = """\
+n=4
+delta=0.4
+alpha=1.0
+b=1
+a0=2
+a1=2.5
+a=3
+c0=1
+c=0.5
+tau0=5
+tau1=3
+tau2=3
+which=positive
+steps=20
+alpha_min=1.0
+alpha_max=1.5
+alpha_steps=3
+delta_min=0.1
+delta_max=0.6
+delta_steps=6
+transient=50
+samples=10
+policy=FreshPerturbed
+perturbation=0.01
+blowup=1e6
+lyap_iters=600
+lyap_transient=200
+renorm_interval=1
+theta_points=256
+workers=1
+out=unused.out
+"""
+
+
+def _subparsers() -> dict:
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _echo(text: str) -> dict:
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    pairs = (ln[2:].split("=", 1) for ln in text.splitlines()
+             if ln.startswith("# ") and not ln.startswith("# diverged="))
+    return dict(pairs)
+
+
+class TestCommandTable:
+    def test_every_key_is_read_by_some_subcommand(self):
+        read = set().union(*(keys for _, keys in COMMANDS.values()))
+        assert read == {key for key, _ in KEY_SPECS}
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_subparser_accepts_exactly_its_keys(self, name):
+        options = {opt for action in _subparsers()[name]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        flags = {"--" + key.replace("_", "-") for key in COMMANDS[name][1]}
+        assert options == flags | {"--config"}
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_echo_holds_only_the_subcommands_keys(self, name, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(SHARED_CONFIG)
+        out = tmp_path / "result"
+        assert main([name, "--config", str(path), "--out", str(out)]) == 0
+        echo = _echo(out.read_text())
+        assert set(echo) == COMMANDS[name][1] - NON_EXPERIMENT_KEYS
+
+    def test_unread_flag_exits_two(self, capsys):
+        # critical_alpha takes the closed-form first crossing; it scans no
+        # theta grid, so the flag is not offered
+        code = main(["critical-alpha", *SEC4_FLAGS, "--tau0", "3", "--tau1", "5",
+                     "--tau2", "5", "--alpha-min", "1.0", "--alpha-max", "1.5",
+                     "--theta-points", "8"])
+        assert code == 2
+        assert "--theta-points" in capsys.readouterr().err
+        assert main(["equilibria", *SEC4_FLAGS, "--tau0", "3"]) == 2
+
+    def test_ns_curve_honours_theta_points(self, monkeypatch, tmp_path):
+        seen = []
+        original = bifurcation.ns_boundary
+
+        def spy(p, d, scan_points):
+            seen.append(scan_points)
+            return original(p, d, scan_points=scan_points)
+
+        monkeypatch.setattr(bifurcation, "ns_boundary", spy)
+        path = tmp_path / "run.cfg"
+        path.write_text("theta_points=64\n")
+        flags = [*SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                 "--out", str(tmp_path / "ns.csv")]
+        assert main(["ns-curve", *flags, "--theta-points", "128"]) == 0
+        assert main(["ns-curve", "--config", str(path), *flags]) == 0
+        assert seen == [128, 64]
+        assert "# theta_points=64" in (tmp_path / "ns.csv").read_text().splitlines()
+
+    def test_shared_config_key_is_neither_applied_nor_echoed(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n=4\ndelta=0.4\na0=2\na1=2.5\nb=1\nlyap_iters=600\n")
+        assert main(["equilibria", "--config", str(path)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"n": 4, "delta": 0.4, "alpha": 1.0, "b": 1.0, "a0": 2.0, "a1": 2.5}
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--transient", "0"], "transient"),
+        (["--samples", "0"], "samples"),
+        (["--perturbation", "nan"], "perturbation"),
+        (["--blowup", "0"], "blowup"),
+    ])
+    def test_bad_phase_portrait_orbit_exits_two(self, capsys, flags, key):
+        code = main(["phase-portrait", *SEC4_FLAGS, "--alpha", "1.0", *flags])
+        assert code == 2
+        out = capsys.readouterr()
+        assert key in out.err and out.out == ""
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    the cells in this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+class TestWorkers:
+    FLAGS = [
+        "bifurcation-diagram", *SEC4_FLAGS, "--tau0", "2", "--tau1", "2", "--tau2", "10",
+        "--alpha-min", "1.0", "--alpha-max", "1.2", "--alpha-steps", "3",
+        "--transient", "100", "--samples", "10", "--lyap-iters", "300", "--lyap-transient", "100",
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_workers_below_one_exits_two(self, capsys, value):
+        assert main([*self.FLAGS, "--workers", value]) == 2
+        out = capsys.readouterr()
+        assert "workers" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100000, 64, 3),  # bounded by the cell count
+        (100000, 2, 2),  # bounded by the CPU count
+        (2, 64, 2),
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, tmp_path, workers, cpus, size):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        serial, pooled = tmp_path / "w1.csv", tmp_path / "wn.csv"
+        assert main([*self.FLAGS, "--workers", "1", "--out", str(serial)]) == 0
+        assert main([*self.FLAGS, "--workers", str(workers), "--out", str(pooled)]) == 0
+        assert FakePool.sizes == [size]
+        assert serial.read_bytes() == pooled.read_bytes()

@@ -275,17 +275,16 @@ class TestFusedDiagramCell:
 
 
 class TestPhasePortrait:
-    SPEC = SweepSpec(alpha_min=1.0, alpha_max=2.0, num_alpha=2,
-                     transient=3000, samples=400)
+    ORBIT = dict(transient=3000, samples=400)
 
     def test_stable_alpha_gives_a_single_point(self, sec4):
-        portrait = phase_portrait(sec4, DelayConfig(2, 2, 10), 1.0, self.SPEC)
+        portrait = phase_portrait(sec4_at(1.0), DelayConfig(2, 2, 10), **self.ORBIT)
         eq = positive_equilibrium(sec4).point
         assert not portrait.diverged
         assert np.abs(portrait.points - eq[:2]).max() < 1e-6
 
     def test_period_two_gives_two_accumulation_points(self, sec4):
-        portrait = phase_portrait(sec4, DelayConfig(2, 2, 10), 1.24, self.SPEC)
+        portrait = phase_portrait(sec4_at(1.24), DelayConfig(2, 2, 10), **self.ORBIT)
         centers = []
         for pt in portrait.points:
             if not any(np.linalg.norm(pt - c) < 1e-4 for c in centers):
@@ -293,7 +292,7 @@ class TestPhasePortrait:
         assert len(centers) == 2
 
     def test_invariant_curve_fills_a_closed_loop(self, sec4):
-        portrait = phase_portrait(sec4, DelayConfig(3, 5, 5), 1.35, self.SPEC)
+        portrait = phase_portrait(sec4_at(1.35), DelayConfig(3, 5, 5), **self.ORBIT)
         pts = portrait.points
         # many distinct points whose nearest neighbours are much closer
         # than the curve diameter: a one-dimensional closed object
@@ -307,5 +306,5 @@ class TestPhasePortrait:
         assert nearest.max() < 0.05 * diameter
 
     def test_divergence_is_flagged(self, sec4):
-        portrait = phase_portrait(sec4, DelayConfig(2, 2, 10), 1.55, self.SPEC)
+        portrait = phase_portrait(sec4_at(1.55), DelayConfig(2, 2, 10), **self.ORBIT)
         assert portrait.diverged
