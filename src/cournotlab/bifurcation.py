@@ -121,21 +121,20 @@ def _crossing_gain(theta: float, eps0: float, eps2: float, tau: int, tau2: int) 
     return (lam * h - eps0) / denom
 
 
-def _crossing_angle_equation(
-    theta: float, eps0: float, eps2: float, tau: int, tau2: int
-) -> float:
+def _crossing_angle_equation(theta, eps0: float, eps2: float, tau: int, tau2: int):
     """Real equation whose interior roots are unit-circle crossing angles.
 
     This is the imaginary part of the eps1 ratio cleared of its positive
     denominator and divided by 2*sin(theta/2), which removes the forced
     zero at theta = 0.  The identity at theta = pi remains (the equation
     is real there), so flips are excluded by the scan window instead.
+    ``theta`` is a float or an array of angles.
     """
     return (
-        eps0 * math.cos((tau + 1.5) * theta)
-        + eps0 * eps2 * math.cos((tau - tau2 + 0.5) * theta)
-        - math.cos(0.5 * theta)
-        * (1.0 + eps2**2 + 2.0 * eps2 * math.cos((tau2 + 1) * theta))
+        eps0 * np.cos((tau + 1.5) * theta)
+        + eps0 * eps2 * np.cos((tau - tau2 + 0.5) * theta)
+        - np.cos(0.5 * theta)
+        * (1.0 + eps2**2 + 2.0 * eps2 * np.cos((tau2 + 1) * theta))
     )
 
 
@@ -147,43 +146,44 @@ def ns_boundary(
 ) -> list[BifurcationPoint]:
     """All interior unit-circle crossings of the reduced polynomial.
 
-    Scans the crossing-angle equation over (theta_min, pi - theta_min),
-    bisects each sign change to 1e-10 in theta, recovers the real eps1
-    from the crossing gain, converts it to alpha and keeps only points
-    with positive alpha whose crossing root verifies against the reduced
-    polynomial to 1e-8.  An empty list means no interior crossing exists.
+    Evaluates the crossing-angle equation on ``scan_points`` angles over
+    (theta_min, pi - theta_min) in one array call, bisects only the grid
+    intervals whose end values change sign to 1e-10 in theta, recovers
+    the real eps1 from the crossing gain, converts it to alpha and keeps
+    only points with positive alpha whose crossing root verifies against
+    the reduced polynomial to 1e-8.  An empty list means no interior
+    crossing exists.  Raises ValidationError unless ``scan_points >= 2``.
     """
+    if scan_points < 2:
+        raise ValidationError(f"theta_points must be >= 2, got {scan_points}")
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
     tau = d.tau_sum
     tau2 = d.tau2
     kfac = k_factor(p)
 
-    def f(theta: float) -> float:
-        return _crossing_angle_equation(theta, eps0, eps2, tau, tau2)
-
     grid = np.linspace(theta_min, math.pi - theta_min, scan_points)
-    values = np.array([f(t) for t in grid])
+    values = _crossing_angle_equation(grid, eps0, eps2, tau, tau2)
+    head, tail = values[:-1], values[1:]
+    brackets = np.flatnonzero((head == 0.0) | (head * tail < 0.0))
 
     angles = []
-    for i in range(scan_points - 1):
+    for i in brackets.tolist():
         lo, hi = grid[i], grid[i + 1]
-        flo, fhi = values[i], values[i + 1]
+        flo = values[i]
         if flo == 0.0:
             angles.append(lo)
-            continue
-        if flo * fhi >= 0.0:
             continue
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if hi - lo < 1.0e-10:
                 break
-            fmid = f(mid)
+            fmid = _crossing_angle_equation(mid, eps0, eps2, tau, tau2)
             if fmid == 0.0:
                 lo = hi = mid
                 break
             if flo * fmid < 0.0:
-                hi, fhi = mid, fmid
+                hi = mid
             else:
                 lo, flo = mid, fmid
         angles.append(0.5 * (lo + hi))

@@ -56,8 +56,22 @@ def _write(cfg: RunConfig, text: str) -> None:
 # parameter assembly
 
 
+# adjustment speed of the market built for a subcommand that does not read alpha
+ALPHA_PLACEHOLDER = 1.0
+
+
 def market_from_config(cfg: RunConfig) -> MarketParams:
-    n, delta, b, alpha = cfg.require("n", "delta", "b", "alpha")
+    """The market of the configuration.
+
+    equilibria, flip-boundary, ns-curve, critical-alpha, stability-region
+    and bifurcation-diagram do not read alpha: their results do not depend
+    on it (the diagram and the crossings set their own, and the
+    equilibrium residuals are reported at unit speed).  Their
+    configuration holds no alpha, and their market carries
+    ``ALPHA_PLACEHOLDER``.
+    """
+    n, delta, b = cfg.require("n", "delta", "b")
+    alpha = cfg.get("alpha", ALPHA_PLACEHOLDER)
     optional = {key: cfg.get(key) for key in ("a0", "a1", "a", "c0", "c")}
     return MarketParams(b=b, delta=delta, alpha=alpha, n=n, **optional)
 
@@ -300,7 +314,7 @@ def _cmd_phase_portrait(cfg: RunConfig) -> None:
 
 # each subcommand with the configuration keys it reads; the table sets its
 # flags, the keys taken from a config file and the keys its output echoes
-MARKET = ("n", "delta", "alpha", "b", "a0", "a1", "a", "c0", "c")
+MARKET = ("n", "delta", "b", "a0", "a1", "a", "c0", "c")
 DELAYS = ("tau0", "tau1", "tau2")
 ORBIT = ("transient", "samples", "perturbation", "blowup")
 
@@ -311,8 +325,11 @@ def _keys(*names) -> frozenset:
 
 COMMANDS = {
     "equilibria": (_cmd_equilibria, _keys(*MARKET)),
-    "simulate": (_cmd_simulate, _keys(*MARKET, *DELAYS, "steps", "perturbation", "blowup")),
-    "spectrum": (_cmd_spectrum, _keys(*MARKET, *DELAYS, "which")),
+    "simulate": (
+        _cmd_simulate,
+        _keys(*MARKET, "alpha", *DELAYS, "steps", "perturbation", "blowup"),
+    ),
+    "spectrum": (_cmd_spectrum, _keys(*MARKET, "alpha", *DELAYS, "which")),
     "stability-region": (
         _cmd_stability_region,
         _keys(*MARKET, "delta_min", "delta_max", "delta_steps"),
@@ -330,11 +347,11 @@ COMMANDS = {
     "lyapunov": (
         _cmd_lyapunov,
         _keys(
-            *MARKET, *DELAYS, "perturbation", "blowup",
+            *MARKET, "alpha", *DELAYS, "perturbation", "blowup",
             "lyap_iters", "lyap_transient", "renorm_interval",
         ),
     ),
-    "phase-portrait": (_cmd_phase_portrait, _keys(*MARKET, *DELAYS, *ORBIT)),
+    "phase-portrait": (_cmd_phase_portrait, _keys(*MARKET, "alpha", *DELAYS, *ORBIT)),
 }
 
 

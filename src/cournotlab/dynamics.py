@@ -130,12 +130,16 @@ def classify_attractor(
         return AttractorSummary(AttractorType.DIVERGENT, None, samples)
     if samples.max() - samples.min() <= tolerance:
         return AttractorSummary(AttractorType.FIXED_POINT, None, samples)
-    top = min(k_max, samples.size - 1)
-    for k in range(1, top + 1):
-        if np.abs(samples[k:] - samples[:-k]).max() <= tolerance:
-            if k == 1:
-                break  # drifting, not yet settled
-            return AttractorSummary(AttractorType.PERIODIC, k, samples)
+    size = samples.size
+    lags = np.arange(1, min(k_max, size - 1) + 1)
+    # row k - 1 compares s[j + k] with s[j]; the indices past the end of
+    # the orbit (j + k >= size) are clipped, then masked out of the maximum
+    later = lags[:, None] + np.arange(size)
+    gaps = np.abs(np.take(samples, later, mode="clip") - samples)
+    worst = np.max(gaps, axis=1, where=later < size, initial=0.0)
+    hits = lags[worst <= tolerance]
+    if hits.size and hits[0] > 1:  # a first hit at lag 1 is drift, not yet settled
+        return AttractorSummary(AttractorType.PERIODIC, int(hits[0]), samples)
     return AttractorSummary(AttractorType.APERIODIC, None, samples)
 
 

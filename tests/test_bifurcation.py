@@ -14,6 +14,7 @@ from cournotlab import (
     NotStableAtStartError,
     NumericalError,
     ParityCase,
+    ValidationError,
     critical_alpha,
     epsilon_triple,
     flip_boundary,
@@ -23,7 +24,7 @@ from cournotlab import (
     stability_region,
 )
 from cournotlab import bifurcation
-from cournotlab.spectral import EpsilonTriple
+from cournotlab.spectral import EpsilonTriple, coupling_epsilons
 
 
 
@@ -243,6 +244,94 @@ class TestCriticalAlphaAgainstScan:
         monkeypatch.setattr(np, "roots", counting_roots)
         critical_alpha(sec4, DelayConfig(9, 7, 5), (1.0, 1.7))
         assert len(calls) == 3
+
+
+def _scalar_ns_scan(p, d, scan_points=4096, theta_min=bifurcation.THETA_MIN):
+    """Reference ns_boundary: the crossing-angle equation evaluated point by
+    point with math.cos, then a walk over every grid interval that bisects
+    each sign change, then the same gain, residual and alpha filters."""
+    eps0, eps2 = coupling_epsilons(p)
+    tau, tau2 = d.tau_sum, d.tau2
+    kfac = k_factor(p)
+
+    def f(theta):
+        return (
+            eps0 * math.cos((tau + 1.5) * theta)
+            + eps0 * eps2 * math.cos((tau - tau2 + 0.5) * theta)
+            - math.cos(0.5 * theta)
+            * (1.0 + eps2**2 + 2.0 * eps2 * math.cos((tau2 + 1) * theta))
+        )
+
+    grid = np.linspace(theta_min, math.pi - theta_min, scan_points)
+    values = np.array([f(t) for t in grid])
+    angles = []
+    for i in range(scan_points - 1):
+        lo, hi = grid[i], grid[i + 1]
+        flo, fhi = values[i], values[i + 1]
+        if flo == 0.0:
+            angles.append(lo)
+            continue
+        if flo * fhi >= 0.0:
+            continue
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 1.0e-10:
+                break
+            fmid = f(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0.0:
+                hi, fhi = mid, fmid
+            else:
+                lo, flo = mid, fmid
+        angles.append(0.5 * (lo + hi))
+    if values[-1] == 0.0:
+        angles.append(grid[-1])
+
+    points = []
+    for theta in angles:
+        ratio = bifurcation._crossing_gain(theta, eps0, eps2, tau, tau2)
+        if not np.isfinite(ratio.real) or abs(ratio.imag) > bifurcation.NS_RESIDUAL_TOL:
+            continue
+        eps1 = ratio.real
+        alpha = (eps1 + 1.0) / kfac
+        if alpha <= 0.0:
+            continue
+        residual = bifurcation._residual_on_circle(
+            EpsilonTriple(eps0, eps1, eps2), d, cmath.exp(1j * theta)
+        )
+        if residual > bifurcation.NS_RESIDUAL_TOL:
+            continue
+        points.append(BifurcationPoint(alpha, BifurcationKind.NEIMARK_SACKER, theta, eps1, residual))
+    points.sort(key=lambda pt: pt.theta)
+    return points
+
+
+class TestNsBoundaryAgainstScalarScan:
+    @pytest.mark.parametrize("tau, tau2", GRID_STRATA)
+    def test_matches_scalar_scan(self, sec4, tau, tau2):
+        d = DelayConfig(0, tau, tau2)
+        assert ns_boundary(sec4, d) == _scalar_ns_scan(sec4, d)
+
+    @pytest.mark.parametrize("scan_points", [2, 3, 8, 8192])
+    @pytest.mark.parametrize("delays", [
+        DelayConfig(5, 3, 3), DelayConfig(3, 5, 5), DelayConfig(9, 7, 5), DelayConfig(0, 0, 9),
+        DelayConfig(15, 15, 30),
+    ])
+    def test_matches_scalar_scan_at_other_grid_sizes(self, sec4, delays, scan_points):
+        new = ns_boundary(sec4, delays, scan_points=scan_points)
+        assert new == _scalar_ns_scan(sec4, delays, scan_points=scan_points)
+
+    def test_oracle_finds_crossings(self, sec4):
+        # the comparisons above are not between two empty lists
+        found = [len(_scalar_ns_scan(sec4, DelayConfig(0, tau, tau2))) for tau, tau2 in GRID_STRATA]
+        assert sum(n > 0 for n in found) > 100 and sum(found) > 500
+
+    @pytest.mark.parametrize("scan_points", [1, 0, -5])
+    def test_grid_too_small_to_scan_rejected(self, sec4, scan_points):
+        with pytest.raises(ValidationError, match="theta_points"):
+            ns_boundary(sec4, DelayConfig(5, 3, 3), scan_points=scan_points)
 
 
 class TestStabilityRegion:

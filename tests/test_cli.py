@@ -328,6 +328,13 @@ out=unused.out
 """
 
 
+# subcommands whose results do not depend on the market's adjustment speed
+ALPHA_FREE = (
+    "equilibria", "flip-boundary", "ns-curve", "critical-alpha", "stability-region",
+    "bifurcation-diagram",
+)
+
+
 def _subparsers() -> dict:
     action = next(a for a in _build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))
@@ -396,7 +403,30 @@ class TestCommandTable:
         path.write_text("n=4\ndelta=0.4\na0=2\na1=2.5\nb=1\nlyap_iters=600\n")
         assert main(["equilibria", "--config", str(path)]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
-        assert config == {"n": 4, "delta": 0.4, "alpha": 1.0, "b": 1.0, "a0": 2.0, "a1": 2.5}
+        assert config == {"n": 4, "delta": 0.4, "b": 1.0, "a0": 2.0, "a1": 2.5}
+
+    @pytest.mark.parametrize("value", ["0", "1", "-5"])
+    def test_theta_grid_too_small_to_scan_exits_two(self, capsys, value):
+        code = main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--theta-points", value])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "theta_points" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("name", ALPHA_FREE)
+    def test_alpha_is_neither_a_flag_nor_echoed(self, capsys, tmp_path, name):
+        assert "alpha" not in COMMANDS[name][1]
+        assert main([name, *SEC4_FLAGS, "--alpha", "1.3"]) == 2
+        assert "--alpha" in capsys.readouterr().err
+        outputs = []
+        for alpha in ("0.3", "1.7"):
+            path = tmp_path / f"run-{alpha}.cfg"
+            path.write_text(SHARED_CONFIG.replace("\nalpha=1.0\n", f"\nalpha={alpha}\n"))
+            out = tmp_path / f"result-{alpha}"
+            assert main([name, "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "alpha" not in _echo(outputs[0].decode())
 
     @pytest.mark.parametrize("flags, key", [
         (["--transient", "0"], "transient"),

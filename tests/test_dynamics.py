@@ -22,7 +22,7 @@ from cournotlab import (
     reduced_char_poly,
     simulate,
 )
-from cournotlab.dynamics import diagram_cell
+from cournotlab.dynamics import PERIOD_KMAX, PERIOD_TOL, diagram_cell
 
 from conftest import draw_delay_independent_delays, draw_stable_market, sec4_at
 
@@ -64,6 +64,64 @@ class TestClassifyAttractor:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             classify_attractor(np.array([1.0]))
+
+
+def _loop_label(samples, tolerance=PERIOD_TOL, k_max=PERIOD_KMAX):
+    """Reference label: the recurrence lags tested one at a time."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.max() - samples.min() <= tolerance:
+        return "FixedPoint"
+    for k in range(1, min(k_max, samples.size - 1) + 1):
+        if np.abs(samples[k:] - samples[:-k]).max() <= tolerance:
+            return "AperiodicOrQuasiperiodic" if k == 1 else f"Period{k}"
+    return "AperiodicOrQuasiperiodic"
+
+
+def _cycle(period, size, noise=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    base = np.tile(rng.uniform(0.2, 0.9, period), size // period + 1)[:size]
+    return base + noise * rng.uniform(-1.0, 1.0, size)
+
+
+RECURRENCE_CASES = {
+    "fixed": 0.9375 + 1e-7 * np.random.default_rng(1).uniform(size=200),
+    "period2": _cycle(2, 200),
+    "period7": _cycle(7, 200),
+    "period64": _cycle(64, 200),
+    "period7_noisy": _cycle(7, 200, noise=4e-7),
+    "period5_noise_under_tolerance": _cycle(5, 200, noise=5e-7, seed=3),
+    "period5_noise_over_tolerance": _cycle(5, 200, noise=6e-7, seed=3),
+    "drift": 1.0 + 2e-8 * np.arange(200),
+    "aperiodic": np.random.default_rng(2).uniform(size=200),
+    "period65_beyond_k_max": _cycle(65, 200),
+    "two_samples": np.array([0.1, 0.7]),
+    "short_aperiodic": np.random.default_rng(4).uniform(size=12),
+    "short_period3": _cycle(3, 10),
+    "short_period7": _cycle(7, 20),
+    "nan_inside": np.where(np.arange(40) == 20, np.nan, _cycle(4, 40)),
+}
+
+
+class TestClassifyAttractorAgainstLoop:
+    @pytest.mark.parametrize("name", RECURRENCE_CASES)
+    @pytest.mark.parametrize("k_max", [PERIOD_KMAX, 5, 1, 0, -3])
+    def test_labels_match_the_lag_loop(self, name, k_max):
+        samples = RECURRENCE_CASES[name]
+        out = classify_attractor(samples, k_max=k_max)
+        assert out.label == _loop_label(samples, k_max=k_max)
+
+    @pytest.mark.parametrize("name, label", [
+        ("fixed", "FixedPoint"), ("period2", "Period2"), ("period7", "Period7"),
+        ("period64", "Period64"), ("drift", "AperiodicOrQuasiperiodic"),
+        ("aperiodic", "AperiodicOrQuasiperiodic"), ("short_period3", "Period3"),
+        ("short_period7", "Period7"), ("period5_noise_under_tolerance", "Period5"),
+        # lag 5 misses the tolerance, and lag 45 is the first to meet it
+        ("period5_noise_over_tolerance", "Period45"),
+        ("nan_inside", "Period24"),  # lag 24 never meets the NaN at index 20
+    ])
+    def test_reference_labels(self, name, label):
+        # pins the loop itself, so that the comparison above is not vacuous
+        assert _loop_label(RECURRENCE_CASES[name]) == label
 
 
 class TestLargestLyapunov:
