@@ -31,6 +31,9 @@ from .spectral import EpsilonTriple, coupling_epsilons, k_factor, reduced_char_p
 THETA_MIN = 1.0e-3
 NS_RESIDUAL_TOL = 1.0e-8
 CERTIFICATE_STEP = 1.0e-4
+# the largest crossing-angle grid ns_boundary evaluates; each point costs
+# about 38 bytes at once
+THETA_POINTS_MAX = 1 << 20
 
 
 class BifurcationKind(enum.Enum):
@@ -152,10 +155,13 @@ def ns_boundary(
     the real eps1 from the crossing gain, converts it to alpha and keeps
     only points with positive alpha whose crossing root verifies against
     the reduced polynomial to 1e-8.  An empty list means no interior
-    crossing exists.  Raises ValidationError unless ``scan_points >= 2``.
+    crossing exists.  Raises ValidationError unless
+    ``2 <= scan_points <= THETA_POINTS_MAX``.
     """
-    if scan_points < 2:
-        raise ValidationError(f"theta_points must be >= 2, got {scan_points}")
+    if not 2 <= scan_points <= THETA_POINTS_MAX:
+        raise ValidationError(
+            f"theta_points must lie in [2, {THETA_POINTS_MAX}], got {scan_points}"
+        )
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
     tau = d.tau_sum

@@ -107,14 +107,16 @@ def sweep_from_config(cfg: RunConfig) -> dynamics.SweepSpec:
 # sweep harness
 
 
-def run_cells(fn, cells, workers: int):
-    """Evaluate independent cells in a process pool, preserving input order.
+def run_cells(fn, alphas, workers: int) -> list:
+    """Split the alpha grid into contiguous lane chunks, one per process,
+    and join the rows ``fn`` gives for each chunk in grid order.
 
     The pool starts all its processes at once, so it is no larger than
     the cell count or the number of CPUs.
     """
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells), os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, cells))
+    size = min(workers, len(alphas), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return [row for rows in pool.map(fn, np.array_split(alphas, size)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +260,8 @@ def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:
     d = delays_from_config(cfg)
     spec = sweep_from_config(cfg)
     if spec.policy is dynamics.InitPolicy.FRESH_PERTURBED and workers > 1:
-        cell = functools.partial(dynamics.fresh_cell, p, d, spec)
-        rows = run_cells(cell, [float(a) for a in spec.alphas], workers)
+        chunk_rows = functools.partial(dynamics.fresh_rows, p, d, spec)
+        rows = run_cells(chunk_rows, spec.alphas, workers)
     else:
         rows = dynamics.bifurcation_diagram(p, d, spec)
     csv_rows = (
@@ -357,13 +359,16 @@ COMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is taken only when spelled in full, never
+    # as the unique prefix of a longer one
     parser = argparse.ArgumentParser(
         prog="cournotlab",
         description="Delayed mixed-oligopoly Cournot map laboratory",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", dest="config_file", default=None, metavar="FILE")
         for key, typ in KEY_SPECS:
             if key in keys:

@@ -20,7 +20,10 @@ import numpy as np
 
 from .equilibria import positive_equilibrium
 from .errors import DivergenceError, NumericalError, ValidationError
-from .model import DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, simulate
+from .model import (
+    DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, _iterate_lanes,
+    _lanes_per_call, simulate,
+)
 
 DEFAULT_PERTURBATION = 1.0e-2
 PERIOD_TOL = 1.0e-6
@@ -225,29 +228,59 @@ def diagram_cell(
     return row, HistoryState(run.states[steps : steps + depth], time=init.time + steps)
 
 
-def fresh_cell(p: MarketParams, d: DelayConfig, spec: SweepSpec, alpha: float) -> DiagramRow:
-    """Self-contained diagram cell under the fresh-perturbed policy."""
+def fresh_rows(p: MarketParams, d: DelayConfig, spec: SweepSpec, alphas) -> list[DiagramRow]:
+    """The rows of the fresh-perturbed policy at ``alphas``, in order.
+
+    Every cell starts from the same bumped equilibrium, so the cells run
+    as lanes of one ``_iterate_lanes`` pass (in chunks within
+    ``LANE_BUDGET``); each row equals ``diagram_cell``'s bit for bit.
+    """
     init = default_initial_history(p, d, spec.perturbation)
-    row, _ = diagram_cell(p, d, spec, alpha, init)
-    return row
+    steps = spec.transient + spec.samples
+    chunk = _lanes_per_call(d, p.dimension, steps)
+    rows = []
+    for start in range(0, len(alphas), chunk):
+        part = alphas[start : start + chunk]
+        run = _iterate_lanes(
+            init, p, d, part, max(steps, spec.lyap_iters), spec.blowup,
+            tangent_iters=spec.lyap_iters, transient=spec.lyap_transient, record=steps,
+        )
+        rows.extend(_lane_row(spec, float(alpha), run, k) for k, alpha in enumerate(part))
+    return rows
+
+
+def _lane_row(spec: SweepSpec, alpha: float, run, k: int) -> DiagramRow:
+    # lane k of ``run`` as ``diagram_cell`` reads its single run
+    steps = spec.transient + spec.samples
+    escaped = int(run.diverged_at[k])
+    end = min(escaped, steps) if escaped else steps
+    samples = run.q0[k, max(0, end - spec.samples) : end].copy()
+    if escaped and escaped <= steps:
+        divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
+        return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True)
+    if run.collapsed_at[k]:
+        raise NumericalError("tangent vector collapsed to zero")
+    lle = float("nan") if escaped else float(run.log_stretch[k]) / run.measured
+    return DiagramRow(alpha, samples, lle, classify_attractor(samples), diverged=False)
 
 
 def bifurcation_diagram(p: MarketParams, d: DelayConfig, spec: SweepSpec) -> list[DiagramRow]:
     """Sweep the adjustment speed and record post-transient public outputs.
 
     Under the fresh-perturbed policy every cell restarts from the bumped
-    equilibrium; under the continued policy each cell starts from the
-    previous cell's final window (restarting fresh after a divergent
-    cell).  Rows are always ordered by grid index.
+    equilibrium, and all cells run together (``fresh_rows``); under the
+    continued policy each cell starts from the previous cell's final
+    window (restarting fresh after a divergent cell), one at a time.
+    Rows are always ordered by grid index.
     """
+    if spec.policy is InitPolicy.FRESH_PERTURBED:
+        return fresh_rows(p, d, spec, spec.alphas)
     rows = []
     carried: Optional[HistoryState] = None
     for alpha in spec.alphas:
         init = carried if carried is not None else default_initial_history(p, d, spec.perturbation)
-        row, final = diagram_cell(p, d, spec, float(alpha), init)
+        row, carried = diagram_cell(p, d, spec, float(alpha), init)
         rows.append(row)
-        if spec.policy is InitPolicy.CONTINUED:
-            carried = final
     return rows
 
 

@@ -211,11 +211,12 @@ def _check_window(history: HistoryState, p: MarketParams, d: DelayConfig) -> Non
         )
 
 
-def _public_slopes(q0, s1, p: MarketParams) -> tuple[float, float]:
+def _public_slopes(q0, s1, p: MarketParams, alpha) -> tuple[float, float]:
     """The state-dependent Jacobian entries: A[0,0] = dq0'/dq0(t) and the
-    B1[0,1:] entry -dq0'/dq_i(t - tau1), with ``s1`` = sum_i q_i(t - tau1)."""
-    own = 1.0 + p.alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
-    cross = p.alpha * p.b * p.delta * q0
+    B1[0,1:] entry -dq0'/dq_i(t - tau1), with ``s1`` = sum_i q_i(t - tau1),
+    at adjustment speed ``alpha`` (a float, or an array of lanes)."""
+    own = 1.0 + alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
+    cross = alpha * p.b * p.delta * q0
     return own, cross
 
 
@@ -242,7 +243,7 @@ def _iterate(
     init: HistoryState, p: MarketParams, d: DelayConfig, steps: int, blowup: float,
     tangent_iters: int = 0, transient: int = 0, renorm_interval: int = 1,
 ) -> _Run:
-    """The delayed map, written once.
+    """The delayed map for one lane (``_iterate_lanes`` is its batched twin).
 
     Iterates ``steps`` times from ``init`` and stops at the first step
     (``diverged_at``) whose new state is not finite or exceeds ``blowup``
@@ -285,7 +286,7 @@ def _iterate(
         if i > tangent_iters:
             continue
 
-        own, cross = _public_slopes(q0, s1, p)
+        own, cross = _public_slopes(q0, s1, p, alpha)
         vbuf[t, 0] = own * vbuf[t - 1, 0] - cross * vbuf[t - l1, 1:].sum()
         upriv2 = vbuf[t - l2, 1:]
         vbuf[t, 1:] = -half_delta * vbuf[t - l0, 0] - half_delta * (upriv2.sum() - upriv2)
@@ -311,6 +312,163 @@ def _iterate(
         window /= norm
 
     return _Run(buf[: depth + (diverged_at or steps)], diverged_at, acc, measured, collapsed_at)
+
+
+# bytes one ``_iterate_lanes`` call may hold in its q0 record and its
+# rolling buffer; a longer grid of lanes runs in chunks
+LANE_BUDGET = 1 << 26
+# steps the rolling buffer of ``_iterate_lanes`` holds past the delay window
+_LANE_ROWS = 256
+
+
+@dataclass(frozen=True)
+class _LaneRun:
+    """What ``_iterate_lanes`` saw, one entry (or row of ``q0``) per lane.
+
+    ``q0`` holds the public output after steps 1..record, NaN past an
+    escape; ``diverged_at`` and ``collapsed_at`` are 0 where nothing
+    happened.  ``measured`` counts the logged steps of every lane whose
+    orbit stayed bounded and whose tangent did not collapse.
+    """
+
+    q0: np.ndarray
+    diverged_at: np.ndarray
+    log_stretch: np.ndarray
+    measured: int
+    collapsed_at: np.ndarray
+
+
+def _lanes_per_call(d: DelayConfig, m: int, record: int) -> int:
+    """Lanes one ``_iterate_lanes`` call takes within ``LANE_BUDGET``."""
+    lane_bytes = 8 * (record + 2 * m * (d.tau_max + 1 + _LANE_ROWS))
+    return max(1, LANE_BUDGET // lane_bytes)
+
+
+def _lane_sums(rows: np.ndarray) -> np.ndarray:
+    # per-lane sums of an (n, lanes) block over a lane-major copy: numpy's
+    # pairwise summation then adds each lane's n contiguous values as it
+    # does in ``_iterate`` (a lanes-last reduction differs for n >= 8)
+    return np.add.reduce(rows.T.copy(), axis=1)
+
+
+def _rolled(buf: np.ndarray, t: int, depth: int, cols) -> np.ndarray:
+    # a fresh rolling buffer starting with rows t - depth + 1 .. t of buf,
+    # at the columns ``cols``
+    window = buf[t - depth + 1 : t + 1, :, cols]
+    fresh = np.empty((depth + _LANE_ROWS,) + window.shape[1:])
+    fresh[:depth] = window
+    return fresh
+
+
+def _iterate_lanes(
+    init: HistoryState, p: MarketParams, d: DelayConfig, alphas, steps: int, blowup: float,
+    tangent_iters: int, transient: int, record: int,
+) -> _LaneRun:
+    """``_iterate`` for a vector of adjustment speeds (lanes), all from
+    ``init``, with ``renorm_interval`` 1, recording q0 over the first
+    ``record`` steps.
+
+    The buffer holds a rolling stretch of steps by n + 1 coordinates by
+    lanes, lanes last: the W working orbits, then, over the first
+    ``tangent_iters`` steps, their W tangents, so that the private rows
+    and the lag sums run once for both.  Each lane keeps ``_iterate``'s
+    arithmetic bit for bit: the sums run over lane-major copies, a tangent
+    private row starts from -0.0 where an orbit row starts from
+    a1/(2b) (-0.0 - x equals -x, signed zeros included), a norm is the
+    square root of the BLAS dot of the lane's contiguous window, as in
+    ``np.linalg.norm``, and its log is ``math.log``.  A lane leaves the
+    working set at the step its orbit escapes; a tangent whose checked
+    norm falls under 1e-300 stays zero and is no longer logged.
+    """
+    _check_window(init, p, d)
+    depth = d.tau_max + 1
+    m = p.dimension
+    a0, a1, b, delta = p.a0, p.a1, p.b, p.delta
+    half_delta = 0.5 * delta
+    base = a1 / (2.0 * b)
+    l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
+
+    alpha = np.array(alphas, dtype=float)
+    width = alpha.size
+    q0 = np.full((width, record), np.nan)
+    diverged_at = np.zeros(width, dtype=int)
+    collapsed_at = np.zeros(width, dtype=int)
+    log_stretch = np.zeros(width)
+    lanes = np.arange(width)  # the original index of each working lane
+    acc = np.zeros(width)
+
+    tangent = tangent_iters > 0
+    buf = np.empty((depth + _LANE_ROWS, m, 2 * width if tangent else width))
+    buf[:depth, :, :width] = init.window[:, :, None]
+    if tangent:
+        buf[:depth, :, width:] = _initial_tangent(depth, m)[:, :, None]
+    t = depth - 1
+    measured = 0
+    collapsed = False
+    start = np.empty(0)
+    for i in range(1, steps + 1):
+        if tangent and i > tangent_iters:
+            tangent = False
+            buf, t = _rolled(buf, t, depth, slice(0, width)), depth - 1
+        if t + 1 == buf.shape[0]:
+            buf, t = _rolled(buf, t, depth, slice(None)), depth - 1
+        if start.size != buf.shape[2]:
+            # a private row starts from a1/(2b) on an orbit, -0.0 on a tangent
+            start = np.full(buf.shape[2], base)
+            start[width:] = -0.0
+        t += 1
+        row = buf[t]
+        sums1 = _lane_sums(buf[t - l1, 1:])
+        sums2 = sums1 if l2 == l1 else _lane_sums(buf[t - l2, 1:])
+        prev = buf[t - 1, 0]
+        q, s1 = prev[:width], sums1[:width]
+        row[0, :width] = q + alpha * q * (a0 - b * q - b * delta * s1)
+        if tangent:
+            own, cross = _public_slopes(q, s1, p, alpha)
+            row[0, width:] = own * prev[width:] - cross * sums1[width:]
+        np.subtract(
+            start - half_delta * buf[t - l0, 0],
+            half_delta * (sums2 - buf[t - l2, 1:]),
+            out=row[1:],
+        )
+
+        if i <= record:
+            q0[lanes, i - 1] = row[0, :width]
+        top = np.maximum.reduce(np.abs(row[:, :width]), axis=None)
+        if top > blowup or not math.isfinite(top):
+            tops = np.abs(row[:, :width]).max(axis=0)
+            escaped = (tops > blowup) | ~np.isfinite(tops)
+            diverged_at[lanes[escaped]] = i
+            keep = np.flatnonzero(~escaped)
+            cols = np.concatenate([keep, width + keep]) if tangent else keep
+            buf, t = _rolled(buf, t, depth, cols), depth - 1
+            lanes, alpha, acc, width = lanes[keep], alpha[keep], acc[keep], keep.size
+            if not width:
+                break
+        if not tangent or (i < transient and i % 64):
+            continue
+
+        window = buf[t - depth + 1 : t + 1, :, width:]
+        # np.vecdot runs numpy's BLAS dot on each lane's contiguous window,
+        # the dot np.linalg.norm takes of the raveled window in ``_iterate``
+        flat = window.transpose(2, 0, 1).copy().reshape(width, -1)
+        norm = np.sqrt(np.vecdot(flat, flat))
+        norms = norm.tolist()
+        if i != transient and min(norms) < 1.0e-300:
+            collapsed = True
+            collapsed_at[lanes[(norm < 1.0e-300) & (collapsed_at[lanes] == 0)]] = i
+        if collapsed:
+            dead = collapsed_at[lanes] > 0
+            window[:, :, dead] = 0.0
+            norm[dead] = 1.0
+            norms = norm.tolist()
+        if i > transient:
+            acc += [math.log(x) for x in norms]
+            measured += 1
+        window /= norm
+
+    log_stretch[lanes] = acc
+    return _LaneRun(q0, diverged_at, log_stretch, measured, collapsed_at)
 
 
 def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
@@ -367,7 +525,9 @@ def jacobian_blocks(
     """
     _check_window(point, p, d)
     m = p.dimension
-    own, cross = _public_slopes(point.current[0], point.lookback(d.tau1)[1:].sum(), p)
+    own, cross = _public_slopes(
+        point.current[0], point.lookback(d.tau1)[1:].sum(), p, p.alpha
+    )
 
     A = np.zeros((m, m))
     A[0, 0] = own

@@ -333,6 +333,11 @@ class TestNsBoundaryAgainstScalarScan:
         with pytest.raises(ValidationError, match="theta_points"):
             ns_boundary(sec4, DelayConfig(5, 3, 3), scan_points=scan_points)
 
+    @pytest.mark.parametrize("scan_points", [bifurcation.THETA_POINTS_MAX + 1, 2_000_000])
+    def test_grid_above_the_cap_rejected(self, sec4, scan_points):
+        with pytest.raises(ValidationError, match="theta_points"):
+            ns_boundary(sec4, DelayConfig(5, 3, 3), scan_points=scan_points)
+
 
 class TestStabilityRegion:
     def test_running_example_boundary(self, sec4):

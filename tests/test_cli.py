@@ -1,5 +1,6 @@
 import argparse
 import json
+import pathlib
 import re
 
 import pytest
@@ -84,6 +85,18 @@ class TestParser:
         assert main(["equilibria", *SEC4_FLAGS]) == 0
         assert main(["equilibria", *SEC4_FLAGS, "--bogus", "1"]) == 2
         assert "--bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+          "--theta", "8"], "--theta"),
+        (["simulate", *SEC4_FLAGS, "--alph", "1.3", "--step", "3"], "--alph"),
+    ])
+    def test_flag_prefix_is_not_taken_for_the_flag(self, capsys, argv, prefix):
+        # --theta is a prefix of --theta-points only, --alph of --alpha and
+        # --step of --steps; each must be spelled in full
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert prefix in out.err and out.out == ""
 
 
 class TestSubcommands:
@@ -413,6 +426,20 @@ class TestCommandTable:
         out = capsys.readouterr()
         assert "theta_points" in out.err and out.out == ""
 
+    def test_theta_grid_above_the_cap_exits_two(self, capsys):
+        code = main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--theta-points", "2000000"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "theta_points" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("value", ["4096", "8192"])
+    def test_theta_grid_within_the_cap_runs(self, tmp_path, value):
+        out = tmp_path / "ns.csv"
+        assert main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--theta-points", value, "--out", str(out)]) == 0
+        assert f"# theta_points={value}" in out.read_text().splitlines()
+
     @pytest.mark.parametrize("name", ALPHA_FREE)
     def test_alpha_is_neither_a_flag_nor_echoed(self, capsys, tmp_path, name):
         assert "alpha" not in COMMANDS[name][1]
@@ -487,3 +514,49 @@ class TestWorkers:
         assert main([*self.FLAGS, "--workers", str(workers), "--out", str(pooled)]) == 0
         assert FakePool.sizes == [size]
         assert serial.read_bytes() == pooled.read_bytes()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+class TestGoldenDiagrams:
+    """Fresh-policy diagrams whose bytes were written by the per-cell
+    integration that the lane-batched one replaced; every worker count
+    must still write exactly these bytes."""
+
+    FLAGS = {
+        # the criterion-12 configuration
+        "criterion12_diagram.csv": [
+            *SEC4_FLAGS, "--tau0", "2", "--tau1", "2", "--tau2", "10",
+            "--alpha-min", "1.0", "--alpha-max", "1.3", "--alpha-steps", "7",
+            "--transient", "500", "--samples", "30",
+            "--lyap-iters", "1000", "--lyap-transient", "200",
+        ],
+        # n = 9 private firms (pairwise row sums), two Period2 cells, an
+        # aperiodic one, one that escapes after its samples (lle nan) and
+        # three that escape within them
+        "n9_escape_diagram.csv": [
+            "--n", "9", "--delta", "0.2", "--a0", "2", "--a1", "2.5", "--b", "1.3",
+            "--tau0", "2", "--tau1", "2", "--tau2", "4",
+            "--alpha-min", "1.0", "--alpha-max", "2.5", "--alpha-steps", "7",
+            "--transient", "300", "--samples", "30",
+            "--lyap-iters", "900", "--lyap-transient", "200",
+        ],
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_output_bytes_are_the_golden_file(self, tmp_path, name, workers):
+        out = tmp_path / name
+        argv = ["bifurcation-diagram", *self.FLAGS[name], "--workers", workers, "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_escaping_file_holds_every_kind_of_cell(self):
+        lines = (GOLDEN / "n9_escape_diagram.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        cells = {(alpha, lle, label) for alpha, _, _, lle, label in rows}
+        labels = [label for _, _, label in cells]
+        assert len(cells) == 7 and labels.count("Divergent") == 3
+        assert any(lle == "nan" and label != "Divergent" for _, lle, label in cells)
+        assert {"Period2", "AperiodicOrQuasiperiodic"} <= set(labels)
