@@ -108,7 +108,7 @@ def sweep_from_config(cfg: RunConfig) -> dynamics.SweepSpec:
 
 
 def run_cells(fn, alphas, workers: int) -> list:
-    """Split the alpha grid into contiguous lane chunks, one per process,
+    """Split the alpha grid into contiguous chunks, one per process,
     and join the rows ``fn`` gives for each chunk in grid order.
 
     The pool starts all its processes at once, so it is no larger than

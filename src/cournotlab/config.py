@@ -113,16 +113,6 @@ class RunConfig:
             return self.values[keys[0]]
         return tuple(self.values[k] for k in keys)
 
-    def emit_lines(self) -> list[str]:
-        """All set keys in canonical order, one 'key=value' per line."""
-        # str() of a float is its shortest round-trip form
-        return [
-            f"{key}={self.values[key]}" for key in KEY_ORDER if self.values.get(key) is not None
-        ]
-
-    def emit(self) -> str:
-        return "\n".join(self.emit_lines()) + "\n"
-
     def echo(self) -> dict:
         """The configuration an output file records: the set keys in
         canonical order, without the execution-only keys."""

@@ -20,10 +20,7 @@ import numpy as np
 
 from .equilibria import positive_equilibrium
 from .errors import DivergenceError, NumericalError, ValidationError
-from .model import (
-    DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, _iterate_lanes,
-    _lanes_per_call, simulate,
-)
+from .model import DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, simulate
 
 DEFAULT_PERTURBATION = 1.0e-2
 PERIOD_TOL = 1.0e-6
@@ -157,11 +154,13 @@ def largest_lyapunov(
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent in nats per iteration.
 
-    Propagates one tangent window through the exact linearization along
-    the orbit (only the public-firm row of the Jacobian depends on the
+    Propagates one tangent window of the aggregate state through the exact
+    linearization along the orbit (only the public-firm row depends on the
     state), renormalizing every ``renorm_interval`` steps and averaging
     the logged stretch factors over the ``iters - transient`` measured
-    steps; ``transient`` must lie in ``[0, iters)``.
+    steps; ``transient`` must lie in ``[0, iters)``.  With n >= 2 the
+    private deviations from their mean add the rate ln(delta/2)/(tau2 + 1),
+    and the larger of the two is returned.
 
     Raises DivergenceError if the orbit leaves the blow-up bound.
     """
@@ -182,11 +181,20 @@ def largest_lyapunov(
             f"orbit left the blow-up bound at step {run.diverged_at} (|q| > {blowup})"
         )
     return LyapunovEstimate(
-        lle=run.log_stretch / run.measured,
+        lle=_exponent(run, p, d),
         iters=iters,
         transient=transient,
         renorm_interval=renorm_interval,
     )
+
+
+def _exponent(run, p: MarketParams, d: DelayConfig) -> float:
+    # the aggregate rate, or the closed-form rate of the private deviations
+    # (d_j(t+1) = (delta/2) d_j(t - tau2)) where that is larger
+    lle = run.log_stretch / run.measured
+    if p.n > 1:
+        lle = max(lle, math.log(0.5 * p.delta) / (d.tau2 + 1))
+    return lle
 
 
 @dataclass(frozen=True)
@@ -216,62 +224,32 @@ def diagram_cell(
         init, pa, d, max(steps, spec.lyap_iters), spec.blowup,
         tangent_iters=spec.lyap_iters, transient=spec.lyap_transient,
     )
-    samples = run.states[depth : depth + steps, 0][-spec.samples :].copy()
+    samples = np.array(run.q0[depth : depth + steps][-spec.samples :])
     if run.diverged_at is not None and run.diverged_at <= steps:
         divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
         return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True), None
     if run.collapsed_at is not None:
         raise NumericalError("tangent vector collapsed to zero")
 
-    lle = float("nan") if run.diverged_at is not None else run.log_stretch / run.measured
+    lle = float("nan") if run.diverged_at is not None else _exponent(run, pa, d)
     row = DiagramRow(alpha, samples, lle, classify_attractor(samples), diverged=False)
-    return row, HistoryState(run.states[steps : steps + depth], time=init.time + steps)
+    return row, HistoryState(run.states(steps, steps + depth), time=init.time + steps)
 
 
 def fresh_rows(p: MarketParams, d: DelayConfig, spec: SweepSpec, alphas) -> list[DiagramRow]:
-    """The rows of the fresh-perturbed policy at ``alphas``, in order.
-
-    Every cell starts from the same bumped equilibrium, so the cells run
-    as lanes of one ``_iterate_lanes`` pass (in chunks within
-    ``LANE_BUDGET``); each row equals ``diagram_cell``'s bit for bit.
-    """
+    """The rows of the fresh-perturbed policy at ``alphas``, in order:
+    one ``diagram_cell`` per alpha, each from the same bumped equilibrium."""
     init = default_initial_history(p, d, spec.perturbation)
-    steps = spec.transient + spec.samples
-    chunk = _lanes_per_call(d, p.dimension, steps)
-    rows = []
-    for start in range(0, len(alphas), chunk):
-        part = alphas[start : start + chunk]
-        run = _iterate_lanes(
-            init, p, d, part, max(steps, spec.lyap_iters), spec.blowup,
-            tangent_iters=spec.lyap_iters, transient=spec.lyap_transient, record=steps,
-        )
-        rows.extend(_lane_row(spec, float(alpha), run, k) for k, alpha in enumerate(part))
-    return rows
-
-
-def _lane_row(spec: SweepSpec, alpha: float, run, k: int) -> DiagramRow:
-    # lane k of ``run`` as ``diagram_cell`` reads its single run
-    steps = spec.transient + spec.samples
-    escaped = int(run.diverged_at[k])
-    end = min(escaped, steps) if escaped else steps
-    samples = run.q0[k, max(0, end - spec.samples) : end].copy()
-    if escaped and escaped <= steps:
-        divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
-        return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True)
-    if run.collapsed_at[k]:
-        raise NumericalError("tangent vector collapsed to zero")
-    lle = float("nan") if escaped else float(run.log_stretch[k]) / run.measured
-    return DiagramRow(alpha, samples, lle, classify_attractor(samples), diverged=False)
+    return [diagram_cell(p, d, spec, float(alpha), init)[0] for alpha in alphas]
 
 
 def bifurcation_diagram(p: MarketParams, d: DelayConfig, spec: SweepSpec) -> list[DiagramRow]:
     """Sweep the adjustment speed and record post-transient public outputs.
 
     Under the fresh-perturbed policy every cell restarts from the bumped
-    equilibrium, and all cells run together (``fresh_rows``); under the
-    continued policy each cell starts from the previous cell's final
-    window (restarting fresh after a divergent cell), one at a time.
-    Rows are always ordered by grid index.
+    equilibrium (``fresh_rows``); under the continued policy each cell
+    starts from the previous cell's final window (restarting fresh after a
+    divergent cell).  Rows are always ordered by grid index.
     """
     if spec.policy is InitPolicy.FRESH_PERTURBED:
         return fresh_rows(p, d, spec, spec.alphas)

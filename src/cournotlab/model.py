@@ -7,6 +7,13 @@ steps ago and to the other private outputs observed ``tau2`` steps ago.
 The state of the delayed map is a rolling window of the last
 ``tau_max + 1`` output vectors.
 
+The public firm sees the private firms only through their total, so the
+map is integrated exactly on the aggregate window of (q0, mean private
+output) in plain floats, with its tangent on the same two rows.  The
+private deviations from the mean obey d_j(t+1) = (delta/2) d_j(t - tau2)
+and are rebuilt in closed form; from a start whose private outputs agree
+they are exactly 0.
+
 All operations here are pure: they never mutate their inputs and contain
 no randomness, so identical inputs produce bit-identical results.
 """
@@ -14,6 +21,7 @@ no randomness, so identical inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,11 +176,6 @@ class HistoryState:
             raise DimensionError(f"lookback {k} outside window of depth {self.depth}")
         return self.window[-1 - k]
 
-    def advanced(self, q_next) -> "HistoryState":
-        """New history after appending ``q_next`` and dropping the oldest row."""
-        q_next = np.asarray(q_next, dtype=float)
-        return HistoryState(np.vstack([self.window[1:], q_next]), time=self.time + 1)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -211,264 +214,174 @@ def _check_window(history: HistoryState, p: MarketParams, d: DelayConfig) -> Non
         )
 
 
-def _public_slopes(q0, s1, p: MarketParams, alpha) -> tuple[float, float]:
-    """The state-dependent Jacobian entries: A[0,0] = dq0'/dq0(t) and the
-    B1[0,1:] entry -dq0'/dq_i(t - tau1), with ``s1`` = sum_i q_i(t - tau1),
-    at adjustment speed ``alpha`` (a float, or an array of lanes)."""
-    own = 1.0 + alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
-    cross = alpha * p.b * p.delta * q0
-    return own, cross
-
-
 @dataclass(frozen=True)
 class _Run:
-    """What ``_iterate`` saw: the window rows followed by every new state."""
+    """What ``_iterate`` saw, on the aggregate state.
 
-    states: np.ndarray
+    ``q0`` and ``mean`` hold the public output and the mean private output
+    of the window rows followed by every new state.  ``spread`` is None
+    when the private outputs of the start agree; otherwise it holds the
+    deviations from the mean of the last tau2 + 1 window rows, and per new
+    step the factor and the row they are carried over from.  ``tangent``
+    is the last tangent window (v, y), oldest first, as carried: divided by
+    its norm only when that left [1e-6, 1e6].
+    """
+
+    window: np.ndarray
+    q0: list
+    mean: list
+    spread: Optional[tuple]
     diverged_at: Optional[int]
     log_stretch: float
     measured: int
     collapsed_at: Optional[int]
+    tangent: tuple
+
+    def states(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Per-firm rows ``lo:hi`` of the run (row tau_max is the start):
+        the window rows as given, then each private output as the mean
+        plus its deviation."""
+        depth, m = self.window.shape
+        hi = len(self.q0) if hi is None else hi
+        out = np.empty((hi - lo, m))
+        out[:, 0] = self.q0[lo:hi]
+        out[:, 1:] = np.array(self.mean[lo:hi])[:, None]
+        first = max(lo, depth)
+        if self.spread is not None and hi > first:
+            dev, factor, rows = self.spread
+            new = slice(first - depth, hi - depth)
+            out[first - lo :, 1:] += factor[new, None] * dev[rows[new]]
+        if lo < depth:
+            out[: depth - lo] = self.window[lo:hi]
+        return out
 
 
-def _initial_tangent(depth: int, m: int) -> np.ndarray:
+def _split(window: np.ndarray, d: DelayConfig, steps: int, half_delta: float):
+    """The public outputs and private means of the window rows, and the
+    ``spread`` of ``_Run`` for ``steps`` new states.
+
+    A deviation d_j = q_j - mean follows d_j(t+1) = (delta/2) d_j(t - tau2),
+    so the one at step t is (delta/2)^k times the one at step t - k(tau2 + 1)
+    inside the window.  A row whose private outputs agree has mean equal to
+    them and deviations exactly 0.
+    """
+    priv = window[:, 1:]
+    flat = (priv == priv[:, :1]).all(axis=1)
+    if flat.all():
+        return window[:, 0].tolist(), priv[:, 0].tolist(), None
+    mean = np.where(flat, priv[:, 0], priv.mean(axis=1))
+    lag = d.tau2 + 1
+    dev = priv[-lag:] - mean[-lag:, None]
+    dev[flat[-lag:]] = 0.0
+    spread = None
+    if dev.any():
+        t = np.arange(1, steps + 1)
+        periods = -(-t // lag)
+        spread = (dev, half_delta**periods, t - periods * lag + lag - 1)
+    return window[:, 0].tolist(), mean.tolist(), spread
+
+
+def _initial_tangent(depth: int) -> tuple[list, list]:
     # deterministic direction with unequal components so that every
-    # eigendirection of the embedded Jacobian is excited
-    flat = 1.0 + 0.5 * np.sin(np.arange(depth * m) + 1.0)
+    # eigendirection of the aggregate embedding is excited
+    flat = 1.0 + 0.5 * np.sin(np.arange(2 * depth) + 1.0)
     flat /= np.linalg.norm(flat)
-    return flat.reshape(depth, m)
+    return flat[0::2].tolist(), flat[1::2].tolist()
 
 
 def _iterate(
     init: HistoryState, p: MarketParams, d: DelayConfig, steps: int, blowup: float,
     tangent_iters: int = 0, transient: int = 0, renorm_interval: int = 1,
 ) -> _Run:
-    """The delayed map for one lane (``_iterate_lanes`` is its batched twin).
+    """The delayed map on the aggregate state (q0, mean private output).
 
-    Iterates ``steps`` times from ``init`` and stops at the first step
-    (``diverged_at``) whose new state is not finite or exceeds ``blowup``
-    in absolute value; that state is kept.  Over the first
-    ``tangent_iters`` steps the exact linearization also carries one
-    tangent window.  It is rescaled without logging every 64 steps before
-    step ``transient`` and once at it, then every ``renorm_interval``
-    steps and at the last one, summing the logged norms over ``measured``
-    steps.  A checked norm under 1e-300 stops the tangent
-    (``collapsed_at``) but not the orbit.
+    The public firm sees the private firms only through their total n*mean,
+    so the pair follows
+    ``q0' = q0 + alpha*q0*(a0 - b*q0 - b*delta*n*mean(t - tau1))`` and
+    ``mean' = a1/(2b) - (delta/2)*q0(t - tau0) - (delta/2)*(n-1)*mean(t - tau2)``,
+    in plain floats.  Iterates ``steps`` times from ``init`` and stops at
+    the first step (``diverged_at``) whose per-firm state (q0 and every
+    mean + deviation) is not finite or exceeds ``blowup`` in absolute
+    value; that state is kept.
+
+    Over the first ``tangent_iters`` steps the exact linearization also
+    carries one tangent window (v, y) = (dq0, sqrt(n) dmean), whose norm is
+    the per-firm norm of a symmetric tangent.  It is renormalized without
+    logging every 64 steps before step ``transient`` and once at it, then
+    every ``renorm_interval`` steps and at the last one, summing the logged
+    stretches over ``measured`` steps.  A renormalization takes the stretch
+    of the norm since the previous one; the entries are divided by the norm
+    only when it leaves [1e-6, 1e6].  A stretch under 1e-300 stops the
+    tangent (``collapsed_at``) but not the orbit.
     """
     _check_window(init, p, d)
     depth = d.tau_max + 1
-    m = p.dimension
-    buf = np.empty((depth + steps, m))
-    buf[:depth] = init.window
-    vbuf = np.empty((depth + tangent_iters, m))
-    if tangent_iters:
-        vbuf[:depth] = _initial_tangent(depth, m)
-
-    a0, a1, b, delta, alpha = p.a0, p.a1, p.b, p.delta, p.alpha
-    half_delta = 0.5 * delta
-    base = a1 / (2.0 * b)
+    n, a0, b, alpha = p.n, p.a0, p.b, p.alpha
+    bd = b * p.delta
+    half = 0.5 * p.delta
+    base = p.a1 / (2.0 * b)
+    others = n - 1
+    own0 = 1.0 + alpha * a0
+    cross = alpha * bd * math.sqrt(n)
+    half_root = half * math.sqrt(n)
     l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
+    # a finite bound, so that one comparison also rejects inf and nan
+    bound = min(blowup, sys.float_info.max)
+
+    q, mean, spread = _split(init.window, d, steps, half)
+    if spread is not None:
+        dev, factor, rows = spread
+        tops = (factor * dev.max(axis=1)[rows]).tolist()
+        bottoms = (factor * dev.min(axis=1)[rows]).tolist()
+    v, y = _initial_tangent(depth) if tangent_iters else ([], [])
+    scale = 1.0  # the tangent norm at the last renormalization
 
     diverged_at = collapsed_at = None
     acc = 0.0
     measured = since_renorm = 0
     for i in range(1, steps + 1):
-        t = depth + i - 1
-        q0 = buf[t - 1, 0]
-        s1 = buf[t - l1, 1:].sum()
-        buf[t, 0] = q0 + alpha * q0 * (a0 - b * q0 - b * delta * s1)
-        priv2 = buf[t - l2, 1:]
-        buf[t, 1:] = base - half_delta * buf[t - l0, 0] - half_delta * (priv2.sum() - priv2)
-        top = np.abs(buf[t]).max()
-        if top > blowup or not math.isfinite(top):
+        q_now = q[-1]
+        total1 = n * mean[-l1]
+        q_new = q_now + alpha * q_now * (a0 - b * q_now - bd * total1)
+        mean_new = base - half * q[-l0] - half * (others * mean[-l2])
+        q.append(q_new)
+        mean.append(mean_new)
+        if spread is None:
+            bounded = abs(q_new) <= bound and abs(mean_new) <= bound
+        else:
+            bounded = (abs(q_new) <= bound and abs(mean_new + tops[i - 1]) <= bound
+                       and abs(mean_new + bottoms[i - 1]) <= bound)
+        if not bounded:
             diverged_at = i
             break
         if i > tangent_iters:
             continue
 
-        own, cross = _public_slopes(q0, s1, p, alpha)
-        vbuf[t, 0] = own * vbuf[t - 1, 0] - cross * vbuf[t - l1, 1:].sum()
-        upriv2 = vbuf[t - l2, 1:]
-        vbuf[t, 1:] = -half_delta * vbuf[t - l0, 0] - half_delta * (upriv2.sum() - upriv2)
-        window = vbuf[t - depth + 1 : t + 1]
-        if i == transient:
-            # measurement baseline: rescale once without logging
-            window /= np.linalg.norm(window)
-            continue
+        v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
+        y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
+        del v[0], y[0]
         if i > transient:
             since_renorm += 1
             if since_renorm < renorm_interval and i < tangent_iters:
                 continue
-        elif i % 64:
+        elif i < transient and i % 64:
             continue
-        norm = np.linalg.norm(window)
-        if norm < 1.0e-300:
+        norm = math.hypot(*v, *y)
+        stretch = norm / scale
+        if stretch < 1.0e-300:
             collapsed_at, tangent_iters = i, 0
             continue
         if i > transient:
-            acc += math.log(norm)
+            acc += math.log(stretch)
             measured += since_renorm
             since_renorm = 0
-        window /= norm
+        scale = norm
+        if not 1.0e-6 < norm < 1.0e6:
+            v = [u / norm for u in v]
+            y = [u / norm for u in y]
+            scale = 1.0
 
-    return _Run(buf[: depth + (diverged_at or steps)], diverged_at, acc, measured, collapsed_at)
-
-
-# bytes one ``_iterate_lanes`` call may hold in its q0 record and its
-# rolling buffer; a longer grid of lanes runs in chunks
-LANE_BUDGET = 1 << 26
-# steps the rolling buffer of ``_iterate_lanes`` holds past the delay window
-_LANE_ROWS = 256
-
-
-@dataclass(frozen=True)
-class _LaneRun:
-    """What ``_iterate_lanes`` saw, one entry (or row of ``q0``) per lane.
-
-    ``q0`` holds the public output after steps 1..record, NaN past an
-    escape; ``diverged_at`` and ``collapsed_at`` are 0 where nothing
-    happened.  ``measured`` counts the logged steps of every lane whose
-    orbit stayed bounded and whose tangent did not collapse.
-    """
-
-    q0: np.ndarray
-    diverged_at: np.ndarray
-    log_stretch: np.ndarray
-    measured: int
-    collapsed_at: np.ndarray
-
-
-def _lanes_per_call(d: DelayConfig, m: int, record: int) -> int:
-    """Lanes one ``_iterate_lanes`` call takes within ``LANE_BUDGET``."""
-    lane_bytes = 8 * (record + 2 * m * (d.tau_max + 1 + _LANE_ROWS))
-    return max(1, LANE_BUDGET // lane_bytes)
-
-
-def _lane_sums(rows: np.ndarray) -> np.ndarray:
-    # per-lane sums of an (n, lanes) block over a lane-major copy: numpy's
-    # pairwise summation then adds each lane's n contiguous values as it
-    # does in ``_iterate`` (a lanes-last reduction differs for n >= 8)
-    return np.add.reduce(rows.T.copy(), axis=1)
-
-
-def _rolled(buf: np.ndarray, t: int, depth: int, cols) -> np.ndarray:
-    # a fresh rolling buffer starting with rows t - depth + 1 .. t of buf,
-    # at the columns ``cols``
-    window = buf[t - depth + 1 : t + 1, :, cols]
-    fresh = np.empty((depth + _LANE_ROWS,) + window.shape[1:])
-    fresh[:depth] = window
-    return fresh
-
-
-def _iterate_lanes(
-    init: HistoryState, p: MarketParams, d: DelayConfig, alphas, steps: int, blowup: float,
-    tangent_iters: int, transient: int, record: int,
-) -> _LaneRun:
-    """``_iterate`` for a vector of adjustment speeds (lanes), all from
-    ``init``, with ``renorm_interval`` 1, recording q0 over the first
-    ``record`` steps.
-
-    The buffer holds a rolling stretch of steps by n + 1 coordinates by
-    lanes, lanes last: the W working orbits, then, over the first
-    ``tangent_iters`` steps, their W tangents, so that the private rows
-    and the lag sums run once for both.  Each lane keeps ``_iterate``'s
-    arithmetic bit for bit: the sums run over lane-major copies, a tangent
-    private row starts from -0.0 where an orbit row starts from
-    a1/(2b) (-0.0 - x equals -x, signed zeros included), a norm is the
-    square root of the BLAS dot of the lane's contiguous window, as in
-    ``np.linalg.norm``, and its log is ``math.log``.  A lane leaves the
-    working set at the step its orbit escapes; a tangent whose checked
-    norm falls under 1e-300 stays zero and is no longer logged.
-    """
-    _check_window(init, p, d)
-    depth = d.tau_max + 1
-    m = p.dimension
-    a0, a1, b, delta = p.a0, p.a1, p.b, p.delta
-    half_delta = 0.5 * delta
-    base = a1 / (2.0 * b)
-    l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
-
-    alpha = np.array(alphas, dtype=float)
-    width = alpha.size
-    q0 = np.full((width, record), np.nan)
-    diverged_at = np.zeros(width, dtype=int)
-    collapsed_at = np.zeros(width, dtype=int)
-    log_stretch = np.zeros(width)
-    lanes = np.arange(width)  # the original index of each working lane
-    acc = np.zeros(width)
-
-    tangent = tangent_iters > 0
-    buf = np.empty((depth + _LANE_ROWS, m, 2 * width if tangent else width))
-    buf[:depth, :, :width] = init.window[:, :, None]
-    if tangent:
-        buf[:depth, :, width:] = _initial_tangent(depth, m)[:, :, None]
-    t = depth - 1
-    measured = 0
-    collapsed = False
-    start = np.empty(0)
-    for i in range(1, steps + 1):
-        if tangent and i > tangent_iters:
-            tangent = False
-            buf, t = _rolled(buf, t, depth, slice(0, width)), depth - 1
-        if t + 1 == buf.shape[0]:
-            buf, t = _rolled(buf, t, depth, slice(None)), depth - 1
-        if start.size != buf.shape[2]:
-            # a private row starts from a1/(2b) on an orbit, -0.0 on a tangent
-            start = np.full(buf.shape[2], base)
-            start[width:] = -0.0
-        t += 1
-        row = buf[t]
-        sums1 = _lane_sums(buf[t - l1, 1:])
-        sums2 = sums1 if l2 == l1 else _lane_sums(buf[t - l2, 1:])
-        prev = buf[t - 1, 0]
-        q, s1 = prev[:width], sums1[:width]
-        row[0, :width] = q + alpha * q * (a0 - b * q - b * delta * s1)
-        if tangent:
-            own, cross = _public_slopes(q, s1, p, alpha)
-            row[0, width:] = own * prev[width:] - cross * sums1[width:]
-        np.subtract(
-            start - half_delta * buf[t - l0, 0],
-            half_delta * (sums2 - buf[t - l2, 1:]),
-            out=row[1:],
-        )
-
-        if i <= record:
-            q0[lanes, i - 1] = row[0, :width]
-        top = np.maximum.reduce(np.abs(row[:, :width]), axis=None)
-        if top > blowup or not math.isfinite(top):
-            tops = np.abs(row[:, :width]).max(axis=0)
-            escaped = (tops > blowup) | ~np.isfinite(tops)
-            diverged_at[lanes[escaped]] = i
-            keep = np.flatnonzero(~escaped)
-            cols = np.concatenate([keep, width + keep]) if tangent else keep
-            buf, t = _rolled(buf, t, depth, cols), depth - 1
-            lanes, alpha, acc, width = lanes[keep], alpha[keep], acc[keep], keep.size
-            if not width:
-                break
-        if not tangent or (i < transient and i % 64):
-            continue
-
-        window = buf[t - depth + 1 : t + 1, :, width:]
-        # np.vecdot runs numpy's BLAS dot on each lane's contiguous window,
-        # the dot np.linalg.norm takes of the raveled window in ``_iterate``
-        flat = window.transpose(2, 0, 1).copy().reshape(width, -1)
-        norm = np.sqrt(np.vecdot(flat, flat))
-        norms = norm.tolist()
-        if i != transient and min(norms) < 1.0e-300:
-            collapsed = True
-            collapsed_at[lanes[(norm < 1.0e-300) & (collapsed_at[lanes] == 0)]] = i
-        if collapsed:
-            dead = collapsed_at[lanes] > 0
-            window[:, :, dead] = 0.0
-            norm[dead] = 1.0
-            norms = norm.tolist()
-        if i > transient:
-            acc += [math.log(x) for x in norms]
-            measured += 1
-        window /= norm
-
-    log_stretch[lanes] = acc
-    return _LaneRun(q0, diverged_at, log_stretch, measured, collapsed_at)
+    return _Run(init.window, q, mean, spread, diverged_at, acc, measured, collapsed_at, (v, y))
 
 
 def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
@@ -480,7 +393,8 @@ def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
     ``q_j' = a1/(2b) - (delta/2)*q0(t - tau0) - (delta/2)*sum_{i != j} q_i(t - tau2)``.
     Negative outputs are propagated as-is; the map does not clamp.
     """
-    return _iterate(history, p, d, 1, math.inf).states[-1].copy()
+    depth = d.tau_max + 1
+    return _iterate(history, p, d, 1, math.inf).states(depth)[0]
 
 
 def simulate(
@@ -502,13 +416,14 @@ def simulate(
         raise ValidationError(f"blowup must be positive, got {blowup}")
     run = _iterate(init, p, d, steps, blowup)
     depth = d.tau_max + 1
+    states = run.states()
     diverged = run.diverged_at is not None
     return Trajectory(
-        outputs=run.states[depth - 1 :].copy(),
+        outputs=states[depth - 1 :],
         start_time=init.time,
         diverged=diverged,
         diverged_at=init.time + run.diverged_at if diverged else None,
-        final_window=run.states[-depth:].copy(),
+        final_window=states[-depth:].copy(),
     )
 
 
@@ -525,18 +440,17 @@ def jacobian_blocks(
     """
     _check_window(point, p, d)
     m = p.dimension
-    own, cross = _public_slopes(
-        point.current[0], point.lookback(d.tau1)[1:].sum(), p, p.alpha
-    )
+    q0 = point.current[0]
+    s1 = point.lookback(d.tau1)[1:].sum()
 
     A = np.zeros((m, m))
-    A[0, 0] = own
+    A[0, 0] = 1.0 + p.alpha * (p.a0 - 2.0 * p.b * q0 - p.b * p.delta * s1)
 
     B0 = np.zeros((m, m))
     B0[1:, 0] = 0.5 * p.delta
 
     B1 = np.zeros((m, m))
-    B1[0, 1:] = cross
+    B1[0, 1:] = p.alpha * p.b * p.delta * q0
 
     B2 = np.zeros((m, m))
     B2[1:, 1:] = 0.5 * p.delta * (np.ones((m - 1, m - 1)) - np.eye(m - 1))

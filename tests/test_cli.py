@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import pathlib
 import re
 
@@ -8,13 +9,21 @@ import pytest
 from cournotlab import bifurcation, cli
 from cournotlab.cli import COMMANDS, _build_parser, main
 from cournotlab.config import (
-    KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
+    KEY_ORDER, KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
 )
 from cournotlab.errors import ConfigError
 
 SEC4_FLAGS = ["--n", "4", "--delta", "0.4", "--a0", "2", "--a1", "2.5", "--b", "1"]
 
 FLOAT_17 = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
+
+
+def emit(cfg):
+    """Config text of every set key in canonical order, one per line."""
+    # str() of a float is its shortest round-trip form
+    return "".join(
+        f"{key}={cfg.values[key]}\n" for key in KEY_ORDER if cfg.values.get(key) is not None
+    )
 
 
 class TestConfigParsing:
@@ -34,7 +43,7 @@ class TestConfigParsing:
         cfg.set("a0", 2.0)
         cfg.set("a1", 2.5)
         cfg.set("alpha_min", 1.0 + 1e-13)
-        again = parse_config_text(cfg.emit())
+        again = parse_config_text(emit(cfg))
         assert again == cfg
 
     def test_duplicate_key_last_wins_with_warning(self, capsys):
@@ -519,10 +528,17 @@ class TestWorkers:
 GOLDEN = pathlib.Path(__file__).parent / "data"
 
 
+def _diagram_rows(path):
+    """(alpha, sample_index, q0, lle, label) of each data row of a diagram CSV."""
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    return [(float(a), int(k), float(q0), float(lle), label) for a, k, q0, lle, label in rows]
+
+
 class TestGoldenDiagrams:
-    """Fresh-policy diagrams whose bytes were written by the per-cell
-    integration that the lane-batched one replaced; every worker count
-    must still write exactly these bytes."""
+    """Fresh-policy diagrams.  ``<name>_aggregate.csv`` pins the bytes of the
+    aggregate kernel for every worker count; ``<name>`` itself holds the
+    bytes the per-firm integration wrote, and stays as a tolerance oracle."""
 
     FLAGS = {
         # the criterion-12 configuration
@@ -550,13 +566,30 @@ class TestGoldenDiagrams:
         out = tmp_path / name
         argv = ["bifurcation-diagram", *self.FLAGS[name], "--workers", workers, "--out", str(out)]
         assert main(argv) == 0
-        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+        assert out.read_bytes() == (GOLDEN / name.replace(".csv", "_aggregate.csv")).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_per_firm_file_within_tolerance(self, name):
+        # same echo and labels, non-chaotic samples within 1e-12 relative,
+        # exponents within 0.02
+        old, new = GOLDEN / name, GOLDEN / name.replace(".csv", "_aggregate.csv")
+        echo = [[l for l in path.read_text().splitlines() if l.startswith("#")]
+                for path in (old, new)]
+        assert echo[0] == echo[1]
+        rows, ref = _diagram_rows(new), _diagram_rows(old)
+        assert len(rows) == len(ref)
+        for (alpha, k, q0, lle, label), (*key, ref_q0, ref_lle, ref_label) in zip(rows, ref):
+            assert [alpha, k, label] == [*key, ref_label]
+            if label == "FixedPoint" or label.startswith("Period"):
+                assert abs(q0 - ref_q0) <= 1e-12 * abs(ref_q0)
+            assert math.isnan(lle) == math.isnan(ref_lle)
+            assert math.isnan(ref_lle) or abs(lle - ref_lle) <= 0.02
 
     def test_escaping_file_holds_every_kind_of_cell(self):
-        lines = (GOLDEN / "n9_escape_diagram.csv").read_text().splitlines()
-        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
-        cells = {(alpha, lle, label) for alpha, _, _, lle, label in rows}
-        labels = [label for _, _, label in cells]
-        assert len(cells) == 7 and labels.count("Divergent") == 3
-        assert any(lle == "nan" and label != "Divergent" for _, lle, label in cells)
-        assert {"Period2", "AperiodicOrQuasiperiodic"} <= set(labels)
+        for name in ("n9_escape_diagram.csv", "n9_escape_diagram_aggregate.csv"):
+            rows = _diagram_rows(GOLDEN / name)
+            cells = {(alpha, str(lle), label) for alpha, _, _, lle, label in rows}
+            labels = [label for _, _, label in cells]
+            assert len(cells) == 7 and labels.count("Divergent") == 3
+            assert any(lle == "nan" and label != "Divergent" for _, lle, label in cells)
+            assert {"Period2", "AperiodicOrQuasiperiodic"} <= set(labels)

@@ -9,7 +9,6 @@ from cournotlab import (
     DivergenceError,
     HistoryState,
     InitPolicy,
-    MarketParams,
     SweepSpec,
     ValidationError,
     bifurcation_diagram,
@@ -23,9 +22,7 @@ from cournotlab import (
     reduced_char_poly,
     simulate,
 )
-from cournotlab import model
-from cournotlab.dynamics import PERIOD_KMAX, PERIOD_TOL, diagram_cell, fresh_rows
-from cournotlab.errors import NumericalError
+from cournotlab.dynamics import PERIOD_KMAX, PERIOD_TOL, diagram_cell
 
 from conftest import draw_delay_independent_delays, draw_stable_market, sec4_at
 
@@ -333,98 +330,6 @@ class TestFusedDiagramCell:
         second, _ = diagram_cell(p, self.D, spec, 1.51, carry)
         assert np.array_equal(rows[1].samples, second.samples)
         assert rows[1].lle == second.lle
-
-
-def _cell_rows(p, d, spec, alphas):
-    """Reference fresh rows: one ``diagram_cell`` (the single-lane
-    ``_iterate``) per alpha."""
-    init = default_initial_history(p, d, spec.perturbation)
-    return [diagram_cell(p, d, spec, float(alpha), init)[0] for alpha in alphas]
-
-
-def _assert_identical(rows, ref):
-    assert len(rows) == len(ref)
-    for row, cell in zip(rows, ref):
-        assert row.alpha == cell.alpha
-        assert row.samples.tobytes() == cell.samples.tobytes()
-        assert float.hex(row.lle) == float.hex(cell.lle)
-        assert row.attractor.label == cell.attractor.label
-        assert row.diverged is cell.diverged
-
-
-class TestLaneBatchedDiagram:
-    """Fresh diagrams run every alpha cell as one lane of ``_iterate_lanes``;
-    each row must equal the per-cell ``diagram_cell`` row bit for bit."""
-
-    D = DelayConfig(5, 3, 3)
-    # bounded at 1.0-1.62, escaping after the samples (with lyap_iters
-    # 3000) at 1.64 and within them at 1.66
-    ALPHAS = np.array([1.0, 1.5, 1.62, 1.64, 1.66])
-
-    def _spec(self, **kwargs):
-        base = dict(alpha_min=1.0, alpha_max=2.0, num_alpha=2, transient=400, samples=100,
-                    lyap_transient=100, lyap_iters=3000)
-        return SweepSpec(**{**base, **kwargs})
-
-    @pytest.mark.parametrize("n", [2, 4, 7, 8, 9, 12])
-    @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
-    def test_markets(self, n, b):
-        # n >= 8 exercises numpy's pairwise summation of the private rows
-        p = MarketParams(b=b, delta=min(0.4, 1.8 / (n - 1)), alpha=1.0, n=n, a0=2.0, a1=2.5)
-        d = DelayConfig(2, 2, 4)
-        spec = SweepSpec(alpha_min=0.8, alpha_max=2.2, num_alpha=8, transient=200, samples=40,
-                         lyap_transient=100, lyap_iters=500)
-        ref = _cell_rows(p, d, spec, spec.alphas)
-        _assert_identical(bifurcation_diagram(p, d, spec), ref)
-        assert any(r.diverged for r in ref) and not all(r.diverged for r in ref)
-
-    @pytest.mark.parametrize("lyap_iters", [300, 500, 3000])
-    def test_lyap_iters_below_at_and_above_the_orbit(self, sec4, lyap_iters):
-        # transient + samples = 500
-        spec = self._spec(lyap_iters=lyap_iters)
-        ref = _cell_rows(sec4, self.D, spec, self.ALPHAS)
-        _assert_identical(fresh_rows(sec4, self.D, spec, self.ALPHAS), ref)
-        assert ref[-1].diverged and np.isnan(ref[-1].lle)
-
-    def test_escapes_within_and_after_the_samples(self, sec4):
-        spec = self._spec()
-        ref = _cell_rows(sec4, self.D, spec, self.ALPHAS)
-        late, inside = ref[3], ref[4]
-        assert not late.diverged and np.isnan(late.lle) and late.samples.size == 100
-        assert inside.diverged and 0 < inside.samples.size <= 100
-        _assert_identical(fresh_rows(sec4, self.D, spec, self.ALPHAS), ref)
-
-    def test_every_lane_escaping(self, sec4):
-        d = DelayConfig(2, 2, 10)
-        spec = SweepSpec(alpha_min=1.5, alpha_max=1.55, num_alpha=3, transient=2000, samples=50,
-                         lyap_transient=300, lyap_iters=2000)
-        ref = _cell_rows(sec4, d, spec, spec.alphas)
-        assert all(r.diverged for r in ref)
-        _assert_identical(bifurcation_diagram(sec4, d, spec), ref)
-
-    @pytest.mark.parametrize("budget", [1, 3 * 8 * (500 + 2 * 5 * (6 + model._LANE_ROWS))])
-    def test_grid_beyond_the_byte_budget_runs_in_chunks(self, sec4, monkeypatch, budget):
-        # one lane per call, then three
-        spec = self._spec()
-        alphas = np.linspace(1.0, 1.66, 9)
-        whole = fresh_rows(sec4, self.D, spec, alphas)
-        monkeypatch.setattr(model, "LANE_BUDGET", budget)
-        assert model._lanes_per_call(self.D, sec4.dimension, 500) == (1 if budget == 1 else 3)
-        _assert_identical(fresh_rows(sec4, self.D, spec, alphas), whole)
-        _assert_identical(whole, _cell_rows(sec4, self.D, spec, alphas))
-
-    def test_forced_tangent_collapse_raises(self, sec4, monkeypatch):
-        monkeypatch.setattr(model, "_initial_tangent", lambda depth, m: np.zeros((depth, m)))
-        spec = self._spec(lyap_iters=500)
-        for alphas in (self.ALPHAS, self.ALPHAS[:1]):
-            with pytest.raises(NumericalError, match="collapsed"):
-                _cell_rows(sec4, self.D, spec, alphas)
-            with pytest.raises(NumericalError, match="collapsed"):
-                fresh_rows(sec4, self.D, spec, alphas)
-        # a collapsed cell that escapes within its samples is a Divergent row
-        escaping = self.ALPHAS[-1:]
-        _assert_identical(fresh_rows(sec4, self.D, spec, escaping),
-                          _cell_rows(sec4, self.D, spec, escaping))
 
 
 class TestPhasePortrait:

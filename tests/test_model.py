@@ -25,6 +25,11 @@ def constant_history(point, d):
     return HistoryState.constant(point, d.tau_max + 1)
 
 
+def advanced(hist, q_next):
+    """The history after appending ``q_next`` and dropping the oldest row."""
+    return HistoryState(np.vstack([hist.window[1:], q_next]), time=hist.time + 1)
+
+
 class TestStep:
     def test_positive_equilibrium_is_exact_fixed_point(self, sec4):
         d = DelayConfig(2, 2, 10)
@@ -136,7 +141,7 @@ class TestSimulate:
         hist = constant_history(start, d)
         traj = simulate(sec4, d, hist, 5)
         for _ in range(5):
-            hist = hist.advanced(step(hist, sec4, d))
+            hist = advanced(hist, step(hist, sec4, d))
         assert np.array_equal(hist.current, traj.outputs[-1])
         assert hist.time == 5
 
