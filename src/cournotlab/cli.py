@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -27,29 +28,47 @@ from .model import DelayConfig, MarketParams, simulate
 # ---------------------------------------------------------------------------
 # formatting
 
+# CSV rows formatted and written per piece: a long orbit is never held as
+# one string (or one list of Python floats), so its memory is reused from
+# piece to piece instead of being mapped afresh on every call
+CSV_CHUNK_ROWS = 512
+
 
 def _json_text(cfg: RunConfig, payload: dict) -> str:
     return json.dumps({"config": cfg.echo(), **payload}, indent=2) + "\n"
 
 
-def _csv_text(cfg: RunConfig, columns: dict, rows, extra_comments=()) -> str:
-    """``columns`` maps each column name to its type; float columns print
-    with 17 significant digits.  Each row is a tuple."""
-    row_format = ",".join("%.16e" if typ is float else "%s" for typ in columns.values())
-    lines = [f"# {key}={value}" for key, value in cfg.echo().items()]
-    lines.extend(extra_comments)
-    lines.append(",".join(columns))
-    lines.extend(row_format % row for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_chunks(cfg: RunConfig, columns: dict, rows, extra_comments=()):
+    """The CSV text in pieces: the comment and header lines, then the rows
+    CSV_CHUNK_ROWS at a time.  ``columns`` maps each column name to its
+    type; float columns print with 17 significant digits.  Each row is a
+    tuple."""
+    row_format = ",".join("%.16e" if typ is float else "%s" for typ in columns.values()) + "\n"
+    head = [f"# {key}={value}\n" for key, value in cfg.echo().items()]
+    head.extend(f"{line}\n" for line in extra_comments)
+    head.append(",".join(columns) + "\n")
+    yield "".join(head)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+        yield "".join([row_format % row for row in chunk])
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _array_rows(first_t: int, array: np.ndarray):
+    """``(first_t + k, *array[k])`` for each row k, converted to floats
+    CSV_CHUNK_ROWS rows at a time."""
+    for lo in range(0, len(array), CSV_CHUNK_ROWS):
+        for t, values in enumerate(array[lo : lo + CSV_CHUNK_ROWS].tolist(), first_t + lo):
+            yield (t, *values)
+
+
+def _write(cfg: RunConfig, chunks) -> None:
+    """Write the text pieces ``chunks`` to the ``out`` file, else to stdout."""
     out = cfg.get("out")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +167,7 @@ def _cmd_equilibria(cfg: RunConfig) -> None:
         payload["q0_star"] = None
         payload["q1_star"] = None
         payload["e_plus"] = None
-    _write(cfg, _json_text(cfg, payload))
+    _write(cfg, [_json_text(cfg, payload)])
 
 
 def _cmd_simulate(cfg: RunConfig) -> None:
@@ -158,9 +177,8 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     init = dynamics.default_initial_history(p, d, cfg.get("perturbation"))
     traj = simulate(p, d, init, steps, blowup=cfg.get("blowup"))
     columns = {"t": int, **{f"q{i}": float for i in range(p.dimension)}}
-    rows = ((traj.start_time + k, *q) for k, q in enumerate(traj.outputs.tolist()))
-    text = _csv_text(cfg, columns, rows, extra_comments=[f"# diverged={str(traj.diverged).lower()}"])
-    _write(cfg, text)
+    rows = _array_rows(traj.start_time, traj.outputs)
+    _write(cfg, _csv_chunks(cfg, columns, rows, [f"# diverged={str(traj.diverged).lower()}"]))
 
 
 def _cmd_spectrum(cfg: RunConfig) -> None:
@@ -195,7 +213,7 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
         "max_modulus": report.max_modulus,
         "on_circle_count": report.on_circle_count,
     }
-    _write(cfg, _json_text(cfg, payload))
+    _write(cfg, [_json_text(cfg, payload)])
 
 
 def _cmd_stability_region(cfg: RunConfig) -> None:
@@ -208,7 +226,7 @@ def _cmd_stability_region(cfg: RunConfig) -> None:
     rows = bifurcation.stability_region(p, grid)
     csv_rows = [(r.delta, r.alpha_max, str(r.feasible).lower()) for r in rows]
     columns = {"delta": float, "alpha_max": float, "feasible": str}
-    _write(cfg, _csv_text(cfg, columns, csv_rows))
+    _write(cfg, _csv_chunks(cfg, columns, csv_rows))
 
 
 def _cmd_flip_boundary(cfg: RunConfig) -> None:
@@ -225,7 +243,7 @@ def _cmd_flip_boundary(cfg: RunConfig) -> None:
         "sum_parity": parity.sum_parity,
         "tau2_parity": parity.tau2_parity,
     }
-    _write(cfg, _json_text(cfg, payload))
+    _write(cfg, [_json_text(cfg, payload)])
 
 
 def _cmd_ns_curve(cfg: RunConfig) -> None:
@@ -234,7 +252,7 @@ def _cmd_ns_curve(cfg: RunConfig) -> None:
     pts = bifurcation.ns_boundary(p, d, scan_points=cfg.get("theta_points"))
     rows = [(pt.theta, pt.eps1, pt.alpha_crit, pt.residual) for pt in pts]
     columns = {"theta": float, "eps1": float, "alpha": float, "residual": float}
-    _write(cfg, _csv_text(cfg, columns, rows))
+    _write(cfg, _csv_chunks(cfg, columns, rows))
 
 
 def _cmd_critical_alpha(cfg: RunConfig) -> None:
@@ -249,7 +267,7 @@ def _cmd_critical_alpha(cfg: RunConfig) -> None:
         "eps1": bp.eps1,
         "residual": bp.residual,
     }
-    _write(cfg, _json_text(cfg, payload))
+    _write(cfg, [_json_text(cfg, payload)])
 
 
 def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:
@@ -272,7 +290,7 @@ def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:
     columns = {
         "alpha": float, "sample_index": int, "q0": float, "lle": float, "attractor_type": str,
     }
-    _write(cfg, _csv_text(cfg, columns, csv_rows))
+    _write(cfg, _csv_chunks(cfg, columns, csv_rows))
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> None:
@@ -294,7 +312,7 @@ def _cmd_lyapunov(cfg: RunConfig) -> None:
         "transient": est.transient,
         "renorm_interval": est.renorm_interval,
     }
-    _write(cfg, _json_text(cfg, payload))
+    _write(cfg, [_json_text(cfg, payload)])
 
 
 def _cmd_phase_portrait(cfg: RunConfig) -> None:
@@ -304,14 +322,13 @@ def _cmd_phase_portrait(cfg: RunConfig) -> None:
     portrait = dynamics.phase_portrait(
         p, d, transient, cfg.get("samples"), cfg.get("perturbation"), cfg.get("blowup")
     )
-    rows = ((transient + 1 + k, q0, q1) for k, (q0, q1) in enumerate(portrait.points.tolist()))
-    text = _csv_text(
+    rows = _array_rows(transient + 1, portrait.points)
+    _write(cfg, _csv_chunks(
         cfg,
         {"t": int, "q0": float, "q1": float},
         rows,
         extra_comments=[f"# diverged={str(portrait.diverged).lower()}"],
-    )
-    _write(cfg, text)
+    ))
 
 
 # each subcommand with the configuration keys it reads; the table sets its

@@ -11,7 +11,9 @@ from cournotlab.cli import COMMANDS, _build_parser, main
 from cournotlab.config import (
     KEY_ORDER, KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
 )
+from cournotlab.dynamics import default_initial_history
 from cournotlab.errors import ConfigError
+from cournotlab.model import DelayConfig, MarketParams, simulate
 
 SEC4_FLAGS = ["--n", "4", "--delta", "0.4", "--a0", "2", "--a1", "2.5", "--b", "1"]
 
@@ -198,6 +200,27 @@ class TestSubcommands:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "t,q0,q1,q2,q3,q4"
         assert len(data) == 22
+
+    def test_simulate_csv_across_write_pieces(self, tmp_path, capsys):
+        # more rows than three pieces hold: the file and stdout carry the
+        # same bytes, and every row reads back as the simulated state
+        steps = 3 * cli.CSV_CHUNK_ROWS + 6
+        argv = ["simulate", *SEC4_FLAGS, "--alpha", "1.2", "--tau0", "2", "--steps", str(steps)]
+        out = tmp_path / "sim.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        data = [l for l in text.splitlines() if not l.startswith("#")][1:]
+        market = MarketParams(b=1.0, delta=0.4, alpha=1.2, n=4, a0=2.0, a1=2.5)
+        delays = DelayConfig(tau0=2)
+        traj = simulate(market, delays, default_initial_history(market, delays), steps)
+        assert len(data) == steps + 1
+        for k, line in enumerate(data):
+            t, *q = line.split(",")
+            assert int(t) == k and all(FLOAT_17.match(v) for v in q)
+            assert [float(v) for v in q] == traj.outputs[k].tolist()
 
     def test_phase_portrait_csv(self, tmp_path):
         out = tmp_path / "pp.csv"
