@@ -6,13 +6,20 @@ failure (no crossing in a bracket, fatal divergence).  Output files are
 byte-stable: fixed column order, 17-significant-digit floats, LF line
 endings, and a config echo of the keys the subcommand reads, without the
 execution-only keys, so results do not depend on the worker count.
+
+A CSV table is handed over as columns and written in pieces of
+``CSV_CHUNK_ROWS`` rows.  Within a piece each distinct float is formatted
+once, keyed on its bits, and scattered back to its fields: the bytes are
+those of formatting every field on its own, while a table whose columns
+repeat values (the private outputs of a simulate row, the alpha and
+exponent of a diagram cell, the rows of a converged orbit) formats far
+fewer floats than it has fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -38,27 +45,42 @@ def _json_text(cfg: RunConfig, payload: dict) -> str:
     return json.dumps({"config": cfg.echo(), **payload}, indent=2) + "\n"
 
 
-def _csv_chunks(cfg: RunConfig, columns: dict, rows, extra_comments=()):
+def _format_floats(values: np.ndarray) -> list:
+    """``"%.16e" % x`` for each entry of the 2-d float array ``values``, as
+    a list of lists.  Each distinct value is formatted once, keyed on its
+    bits: -0.0 and 0.0 compare equal as floats but print different signs."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    text = np.array(["%.16e" % x for x in distinct.view(float).tolist()], dtype=object)
+    return text[inverse.reshape(bits.shape)].tolist()
+
+
+def _strings(piece) -> list:
+    """``"%s" % x`` for each entry of a piece of a non-float column."""
+    if isinstance(piece, np.ndarray):
+        piece = piece.tolist()
+    return list(map(str, piece))
+
+
+def _csv_chunks(cfg: RunConfig, columns: dict, table, extra_comments=()):
     """The CSV text in pieces: the comment and header lines, then the rows
     CSV_CHUNK_ROWS at a time.  ``columns`` maps each column name to its
-    type; float columns print with 17 significant digits.  Each row is a
-    tuple."""
-    row_format = ",".join("%.16e" if typ is float else "%s" for typ in columns.values()) + "\n"
+    type and ``table`` holds the columns in that order, as sequences of
+    one length (arrays, lists or ranges).  Float columns print with 17
+    significant digits; within a piece, each distinct float is formatted
+    once."""
     head = [f"# {key}={value}\n" for key, value in cfg.echo().items()]
     head.extend(f"{line}\n" for line in extra_comments)
     head.append(",".join(columns) + "\n")
     yield "".join(head)
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-        yield "".join([row_format % row for row in chunk])
-
-
-def _array_rows(first_t: int, array: np.ndarray):
-    """``(first_t + k, *array[k])`` for each row k, converted to floats
-    CSV_CHUNK_ROWS rows at a time."""
-    for lo in range(0, len(array), CSV_CHUNK_ROWS):
-        for t, values in enumerate(array[lo : lo + CSV_CHUNK_ROWS].tolist(), first_t + lo):
-            yield (t, *values)
+    floats = [k for k, typ in enumerate(columns.values()) if typ is float]
+    for lo in range(0, len(table[0]), CSV_CHUNK_ROWS):
+        pieces = [column[lo : lo + CSV_CHUNK_ROWS] for column in table]
+        cells = [None if k in floats else _strings(piece) for k, piece in enumerate(pieces)]
+        text = _format_floats(np.stack([pieces[k] for k in floats]))
+        for k, strings in zip(floats, text):
+            cells[k] = strings
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write(cfg: RunConfig, chunks) -> None:
@@ -177,8 +199,8 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     init = dynamics.default_initial_history(p, d, cfg.get("perturbation"))
     traj = simulate(p, d, init, steps, blowup=cfg.get("blowup"))
     columns = {"t": int, **{f"q{i}": float for i in range(p.dimension)}}
-    rows = _array_rows(traj.start_time, traj.outputs)
-    _write(cfg, _csv_chunks(cfg, columns, rows, [f"# diverged={str(traj.diverged).lower()}"]))
+    table = [range(traj.start_time, traj.start_time + len(traj)), *traj.outputs.T]
+    _write(cfg, _csv_chunks(cfg, columns, table, [f"# diverged={str(traj.diverged).lower()}"]))
 
 
 def _cmd_spectrum(cfg: RunConfig) -> None:
@@ -224,9 +246,13 @@ def _cmd_stability_region(cfg: RunConfig) -> None:
         cfg.values["delta"] = float(grid[0])
     p = market_from_config(cfg)
     rows = bifurcation.stability_region(p, grid)
-    csv_rows = [(r.delta, r.alpha_max, str(r.feasible).lower()) for r in rows]
+    table = [
+        np.array([r.delta for r in rows], dtype=float),
+        np.array([r.alpha_max for r in rows], dtype=float),
+        [str(r.feasible).lower() for r in rows],
+    ]
     columns = {"delta": float, "alpha_max": float, "feasible": str}
-    _write(cfg, _csv_chunks(cfg, columns, csv_rows))
+    _write(cfg, _csv_chunks(cfg, columns, table))
 
 
 def _cmd_flip_boundary(cfg: RunConfig) -> None:
@@ -252,7 +278,7 @@ def _cmd_ns_curve(cfg: RunConfig) -> None:
     pts = bifurcation.ns_boundary(p, d, scan_points=cfg.get("theta_points"))
     rows = [(pt.theta, pt.eps1, pt.alpha_crit, pt.residual) for pt in pts]
     columns = {"theta": float, "eps1": float, "alpha": float, "residual": float}
-    _write(cfg, _csv_chunks(cfg, columns, rows))
+    _write(cfg, _csv_chunks(cfg, columns, np.array(rows, dtype=float).reshape(-1, 4).T))
 
 
 def _cmd_critical_alpha(cfg: RunConfig) -> None:
@@ -282,15 +308,18 @@ def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:
         rows = run_cells(chunk_rows, spec.alphas, workers)
     else:
         rows = dynamics.bifurcation_diagram(p, d, spec)
-    csv_rows = (
-        (row.alpha, idx, q0, row.lle, row.attractor.label)
-        for row in rows
-        for idx, q0 in enumerate(row.samples.tolist())
-    )
+    counts = [len(row.samples) for row in rows]
+    table = [
+        np.repeat([row.alpha for row in rows], counts),
+        np.concatenate([np.arange(count) for count in counts]),
+        np.concatenate([row.samples for row in rows]),
+        np.repeat([row.lle for row in rows], counts),
+        np.repeat([row.attractor.label for row in rows], counts),
+    ]
     columns = {
         "alpha": float, "sample_index": int, "q0": float, "lle": float, "attractor_type": str,
     }
-    _write(cfg, _csv_chunks(cfg, columns, csv_rows))
+    _write(cfg, _csv_chunks(cfg, columns, table))
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> None:
@@ -322,11 +351,11 @@ def _cmd_phase_portrait(cfg: RunConfig) -> None:
     portrait = dynamics.phase_portrait(
         p, d, transient, cfg.get("samples"), cfg.get("perturbation"), cfg.get("blowup")
     )
-    rows = _array_rows(transient + 1, portrait.points)
+    points = portrait.points
     _write(cfg, _csv_chunks(
         cfg,
         {"t": int, "q0": float, "q1": float},
-        rows,
+        [range(transient + 1, transient + 1 + len(points)), *points.T],
         extra_comments=[f"# diverged={str(portrait.diverged).lower()}"],
     ))
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -214,22 +214,21 @@ def _check_window(history: HistoryState, p: MarketParams, d: DelayConfig) -> Non
         )
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(NamedTuple):
     """What ``_iterate`` saw, on the aggregate state.
 
     ``q0`` and ``mean`` hold the public output and the mean private output
-    of the window rows followed by every new state.  ``spread`` is None
-    when the private outputs of the start agree; otherwise it holds the
-    deviations from the mean of the last tau2 + 1 window rows, and per new
-    step the factor and the row they are carried over from.  ``tangent``
-    is the last tangent window (v, y), oldest first, as carried: divided by
-    its norm only when that left [1e-6, 1e6].
+    of the window rows followed by every new state, as lists or arrays.
+    ``spread`` is None when the private outputs of the start agree;
+    otherwise it holds the deviations from the mean of the last tau2 + 1
+    window rows, and per new step the factor and the row they are carried
+    over from.  ``tangent`` is the last tangent window (v, y), oldest
+    first, as carried: divided by its norm only when that left [1e-6, 1e6].
     """
 
     window: np.ndarray
-    q0: list
-    mean: list
+    q0: list | np.ndarray
+    mean: list | np.ndarray
     spread: Optional[tuple]
     diverged_at: Optional[int]
     log_stretch: float
@@ -245,7 +244,7 @@ class _Run:
         hi = len(self.q0) if hi is None else hi
         out = np.empty((hi - lo, m))
         out[:, 0] = self.q0[lo:hi]
-        out[:, 1:] = np.array(self.mean[lo:hi])[:, None]
+        out[:, 1:] = np.asarray(self.mean[lo:hi])[:, None]
         first = max(lo, depth)
         if self.spread is not None and hi > first:
             dev, factor, rows = self.spread
@@ -254,6 +253,19 @@ class _Run:
         if lo < depth:
             out[: depth - lo] = self.window[lo:hi]
         return out
+
+
+def _agree(rows: list) -> bool:
+    """Whether the private outputs (entries 1:) of each row are equal, with
+    nan equal to nothing, as ``==`` on the array says."""
+    for row in rows:
+        first = row[1]
+        if first != first:
+            return False
+        for x in row[2:]:
+            if x != first:
+                return False
+    return True
 
 
 def _split(window: np.ndarray, d: DelayConfig, steps: int, half_delta: float):
@@ -265,10 +277,13 @@ def _split(window: np.ndarray, d: DelayConfig, steps: int, half_delta: float):
     inside the window.  A row whose private outputs agree has mean equal to
     them and deviations exactly 0.
     """
+    # the common start, a window whose private outputs agree, is told on
+    # Python floats: numpy's fixed cost per call would exceed the work
+    rows = window.tolist()
+    if _agree(rows):
+        return [row[0] for row in rows], [row[1] for row in rows], None
     priv = window[:, 1:]
     flat = (priv == priv[:, :1]).all(axis=1)
-    if flat.all():
-        return window[:, 0].tolist(), priv[:, 0].tolist(), None
     mean = np.where(flat, priv[:, 0], priv.mean(axis=1))
     lag = d.tau2 + 1
     dev = priv[-lag:] - mean[-lag:, None]
@@ -292,6 +307,7 @@ def _initial_tangent(depth: int) -> tuple[list, list]:
 def _iterate(
     init: HistoryState, p: MarketParams, d: DelayConfig, steps: int, blowup: float,
     tangent_iters: int = 0, transient: int = 0, renorm_interval: int = 1,
+    arrays: bool = False,
 ) -> _Run:
     """The delayed map on the aggregate state (q0, mean private output).
 
@@ -313,6 +329,10 @@ def _iterate(
     of the norm since the previous one; the entries are divided by the norm
     only when it leaves [1e-6, 1e6].  A stretch under 1e-300 stops the
     tangent (``collapsed_at``) but not the orbit.
+
+    The record of q0 and mean is grown as lists of Python floats; with
+    ``arrays`` it is returned as float arrays, a quarter of the memory,
+    and the lists are freed before the caller builds anything from it.
     """
     _check_window(init, p, d)
     depth = d.tau_max + 1
@@ -381,6 +401,9 @@ def _iterate(
             y = [u / norm for u in y]
             scale = 1.0
 
+    if arrays:
+        q = np.fromiter(q, float, len(q))
+        mean = np.fromiter(mean, float, len(mean))
     return _Run(init.window, q, mean, spread, diverged_at, acc, measured, collapsed_at, (v, y))
 
 
@@ -414,7 +437,7 @@ def simulate(
         raise ValidationError(f"steps must be >= 0, got {steps}")
     if not blowup > 0.0:
         raise ValidationError(f"blowup must be positive, got {blowup}")
-    run = _iterate(init, p, d, steps, blowup)
+    run = _iterate(init, p, d, steps, blowup, arrays=True)
     depth = d.tau_max + 1
     states = run.states()
     diverged = run.diverged_at is not None

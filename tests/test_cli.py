@@ -4,7 +4,10 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cournotlab import bifurcation, cli
 from cournotlab.cli import COMMANDS, _build_parser, main
@@ -282,6 +285,69 @@ class TestSubcommands:
                      "--alpha-steps", "2", *flags])
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+# floats whose formatting is easy to get wrong: both zeros, nan, both
+# infinities, the extremes and subnormals
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1.0, -1.0, 0.1,
+]
+
+
+def _row_tuple_text(columns, rows):
+    """The data lines as row-tuple formatting writes them: one %-format
+    per row, "%.16e" for a float column and "%s" for any other."""
+    row_format = ",".join("%.16e" if typ is float else "%s" for typ in columns.values())
+    return "".join(row_format % row + "\n" for row in rows)
+
+
+class TestCsvEmission:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS), max_size=60),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_each_entry_formats_as_its_float(self, values, width, repeats):
+        # repeated values and repeated rows share their strings
+        values = (values * (repeats + 1))[: len(values) * (repeats + 1) // width * width]
+        array = np.array(values, dtype=float).reshape(-1, width).T
+        text = cli._format_floats(array)
+        assert text == [["%.16e" % x for x in column] for column in array.tolist()]
+
+    def test_both_zero_signs_in_one_piece(self):
+        # 0.0 == -0.0, so a memo keyed on the float value prints one sign twice
+        cfg = RunConfig({})
+        columns = {"t": int, "q": float}
+        values = [0.0, -0.0, 1.5, -0.0, 0.0]
+        chunks = list(cli._csv_chunks(cfg, columns, [range(5), np.array(values)]))
+        assert chunks == ["t,q\n", _row_tuple_text(columns, zip(range(5), values))]
+        lines = chunks[1].splitlines()
+        assert lines[0] == "0,0.0000000000000000e+00"
+        assert lines[1] == "1,-0.0000000000000000e+00"
+
+    def test_flat_table_over_several_pieces_matches_row_tuples(self):
+        # every private column holds the mean, as a simulate row from a
+        # start whose private outputs agree does
+        rows = 2 * cli.CSV_CHUNK_ROWS + 7
+        rng = np.random.default_rng(13)
+        q0 = rng.normal(size=rows)
+        mean = np.round(rng.normal(size=rows), 3)  # also repeats across rows
+        columns = {"t": int, "q0": float, "q1": float, "q2": float, "q3": float}
+        table = [range(5, 5 + rows), q0, mean, mean, mean]
+        chunks = list(cli._csv_chunks(RunConfig({"n": 3}), columns, table, ["# diverged=false"]))
+        assert len(chunks) == 4
+        assert chunks[0] == "# n=3\n# diverged=false\nt,q0,q1,q2,q3\n"
+        tuples = zip(range(5, 5 + rows), q0.tolist(), mean.tolist(), mean.tolist(), mean.tolist())
+        assert "".join(chunks[1:]) == _row_tuple_text(columns, tuples)
+
+    def test_zero_row_table_writes_comments_and_header_only(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        cfg = RunConfig({"n": 4, "out": str(out)})
+        columns = {"alpha": float, "sample_index": int, "attractor_type": str}
+        cli._write(cfg, cli._csv_chunks(cfg, columns, [np.empty(0), range(0), []], ["# x=1"]))
+        assert out.read_text() == "# n=4\n# x=1\nalpha,sample_index,attractor_type\n"
 
 
 class TestDiagramDeterminism:

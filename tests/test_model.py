@@ -17,6 +17,7 @@ from cournotlab import (
     simulate,
     step,
 )
+from cournotlab import model
 
 from conftest import SEC4, draw_market, sec4_at
 
@@ -144,6 +145,23 @@ class TestSimulate:
             hist = advanced(hist, step(hist, sec4, d))
         assert np.array_equal(hist.current, traj.outputs[-1])
         assert hist.time == 5
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.7, 0.7, 0.7, 0.7], [0.6, 0.7, 0.7, 0.7, 0.7]],
+        [[0.5, 0.7, 0.7, 0.7, 0.7], [0.6, 0.7, 0.7, 0.8, 0.7]],
+        [[0.5, 0.0, -0.0, 0.0, -0.0], [0.6, 0.7, 0.7, 0.7, 0.7]],
+        [[0.5, 0.7, 0.7, 0.7, 0.7], [0.6, np.nan, np.nan, np.nan, np.nan]],
+        [[0.5, 0.7, 0.7, 0.7, 0.7], [0.6, 0.7, np.nan, 0.7, 0.7]],
+        [[0.5, np.inf, np.inf, np.inf, np.inf]],
+        [[0.5, 0.7], [0.6, np.nan]],
+        [[0.5, 0.7], [0.6, 0.8]],
+    ])
+    def test_agreeing_private_outputs_are_told_as_numpy_tells_them(self, rows):
+        # the flat window the kernel starts from without spread: every row's
+        # private outputs equal under ==, so signed zeros agree and nan never does
+        window = np.array(rows)
+        priv = window[:, 1:]
+        assert model._agree(window.tolist()) == bool((priv == priv[:, :1]).all())
 
     def test_lookback_outside_window_raises(self, sec4):
         d = DelayConfig(1, 1, 1)
