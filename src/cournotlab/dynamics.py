@@ -224,7 +224,8 @@ def diagram_cell(
         init, pa, d, max(steps, spec.lyap_iters), spec.blowup,
         tangent_iters=spec.lyap_iters, transient=spec.lyap_transient,
     )
-    samples = np.array(run.q0[depth : depth + steps][-spec.samples :])
+    end = min(run.size, depth + steps)
+    samples = np.array(run.column(run.q0, max(depth, end - spec.samples), end))
     if run.diverged_at is not None and run.diverged_at <= steps:
         divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
         return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True), None

@@ -14,6 +14,15 @@ private deviations from the mean obey d_j(t+1) = (delta/2) d_j(t - tau2)
 and are rebuilt in closed form; from a start whose private outputs agree
 they are exactly 0.
 
+A run integrates its orbit first and its tangent after, reading the
+tangent's coefficients from the recorded orbit.  Once the aggregate
+window repeats bit for bit (a bitwise periodic onset, most often rounding
+jitter around the fixed point), the rest of the orbit is that cycle
+repeated, which is exact: the map is deterministic in its window.  The
+tangent then crosses whole periods as one matrix power, which sums the
+same log stretch in another order, so a Lyapunov exponent moves in its
+last digits; orbits, samples and windows stay bit for bit the same.
+
 All operations here are pure: they never mutate their inputs and contain
 no randomness, so identical inputs produce bit-identical results.
 """
@@ -23,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +43,11 @@ DEFAULT_BLOWUP = 1.0e6
 
 # tolerance for cross-checking (a, c0, c) against explicitly given (a0, a1)
 _GAP_CONSISTENCY_TOL = 1.0e-12
+
+# every _CHECK_EVERY steps the orbit looks for a window that repeats one
+# at most _PERIOD_MAX steps earlier
+_CHECK_EVERY = 64
+_PERIOD_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -217,13 +232,17 @@ def _check_window(history: HistoryState, p: MarketParams, d: DelayConfig) -> Non
 class _Run(NamedTuple):
     """What ``_iterate`` saw, on the aggregate state.
 
-    ``q0`` and ``mean`` hold the public output and the mean private output
-    of the window rows followed by every new state, as lists or arrays.
-    ``spread`` is None when the private outputs of the start agree;
-    otherwise it holds the deviations from the mean of the last tau2 + 1
-    window rows, and per new step the factor and the row they are carried
-    over from.  ``tangent`` is the last tangent window (v, y), oldest
-    first, as carried: divided by its norm only when that left [1e-6, 1e6].
+    The record is the public output and the mean private output of the
+    window rows followed by every new state, ``size`` entries of each.
+    ``q0`` and ``mean`` hold it as lists or arrays: all of it, or, when the
+    orbit became periodic, its first ``onset + period`` entries, after
+    which it repeats ``q0[onset:]`` and ``mean[onset:]`` (without a period
+    ``onset`` is None and ``period`` 0).  ``spread`` is None when the
+    private outputs of the start agree; otherwise it holds the deviations
+    from the mean of the last tau2 + 1 window rows, and per new step the
+    factor and the row they are carried over from.  ``tangent`` is the
+    last tangent window (v, y), oldest first, as carried: divided by its
+    norm when that left [1e-6, 1e6] or after a jump over whole periods.
     """
 
     window: np.ndarray
@@ -235,16 +254,35 @@ class _Run(NamedTuple):
     measured: int
     collapsed_at: Optional[int]
     tangent: tuple
+    size: int
+    onset: Optional[int]
+    period: int
+
+    def column(self, seq, lo: int, hi: int):
+        """Entries ``lo:hi`` of the record ``seq`` (``q0`` or ``mean``): a
+        slice of it, or a new array where they reach into the periodic
+        tail, repeated from ``seq[onset:]``."""
+        if hi <= len(seq):
+            return seq[lo:hi]
+        out = np.empty(hi - lo)
+        head = min(max(len(seq) - lo, 0), hi - lo)
+        out[:head] = seq[lo : lo + head]
+        if head < hi - lo:
+            cycle = np.roll(np.asarray(seq[self.onset :], dtype=float), self.onset - lo - head)
+            whole, part = divmod(hi - lo - head, self.period)
+            out[head : head + whole * self.period].reshape(whole, self.period)[:] = cycle
+            out[hi - lo - part :] = cycle[:part]
+        return out
 
     def states(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Per-firm rows ``lo:hi`` of the run (row tau_max is the start):
         the window rows as given, then each private output as the mean
         plus its deviation."""
         depth, m = self.window.shape
-        hi = len(self.q0) if hi is None else hi
+        hi = self.size if hi is None else hi
         out = np.empty((hi - lo, m))
-        out[:, 0] = self.q0[lo:hi]
-        out[:, 1:] = np.asarray(self.mean[lo:hi])[:, None]
+        out[:, 0] = self.column(self.q0, lo, hi)
+        out[:, 1:] = np.asarray(self.column(self.mean, lo, hi))[:, None]
         first = max(lo, depth)
         if self.spread is not None and hi > first:
             dev, factor, rows = self.spread
@@ -296,12 +334,200 @@ def _split(window: np.ndarray, d: DelayConfig, steps: int, half_delta: float):
     return window[:, 0].tolist(), mean.tolist(), spread
 
 
+def _period(q: list, mean: list, depth: int) -> int:
+    """The smallest P <= _PERIOD_MAX for which the last ``depth`` entries of
+    ``q`` and ``mean`` equal, bit for bit, the ``depth`` entries P places
+    earlier, or 0.  The map is deterministic in its window, so from there
+    on the record repeats with period P."""
+    last = q[-1]
+    if last not in q[-1 - _PERIOD_MAX : -1]:
+        return 0
+    for period in range(1, min(_PERIOD_MAX, len(q) - depth) + 1):
+        if q[-1 - period] == last and _same(q, depth, period) and _same(mean, depth, period):
+            return period
+    return 0
+
+
+def _same(seq: list, depth: int, period: int) -> bool:
+    """Whether the last ``depth`` entries of ``seq`` equal those ``period``
+    places earlier bit for bit: by ``==``, which holds for no nan, and by
+    the sign of a zero, which ``==`` ignores."""
+    for x, y in zip(seq[-depth:], seq[-depth - period : -period]):
+        if x != y or (x == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, y)):
+            return False
+    return True
+
+
+def _tiled(seq: list, lo: int, hi: int, onset: Optional[int]):
+    """An iterator over the record entries ``lo:hi`` of ``seq``, repeating
+    ``seq[onset:]`` past the end of the list."""
+    stored = len(seq)
+    if hi <= stored:
+        return islice(seq, lo, hi)
+    start = max(lo, stored)
+    skip = (start - onset) % (stored - onset)
+    tail = islice(cycle(seq[onset:]), skip, skip + hi - start)
+    return chain(islice(seq, lo, stored), tail) if lo < stored else tail
+
+
 def _initial_tangent(depth: int) -> tuple[list, list]:
     # deterministic direction with unequal components so that every
     # eigendirection of the aggregate embedding is excited
     flat = 1.0 + 0.5 * np.sin(np.arange(2 * depth) + 1.0)
     flat /= np.linalg.norm(flat)
     return flat[0::2].tolist(), flat[1::2].tolist()
+
+
+class _Tangent:
+    """One tangent window (v, y) = (dq0, sqrt(n) dmean) of the aggregate
+    map, oldest first, carried along the record ``q``, ``mean`` of a run
+    (repeating from ``onset`` past its end) with the renormalization
+    schedule of ``_iterate``."""
+
+    def __init__(self, p: MarketParams, d: DelayConfig, q: list, mean: list,
+                 onset: Optional[int], iters: int, transient: int, renorm_interval: int):
+        self.depth = d.tau_max + 1
+        self.q, self.mean, self.onset = q, mean, onset
+        self.v, self.y = _initial_tangent(self.depth)
+        self.scale = 1.0  # the norm at the last renormalization
+        self.acc = 0.0
+        self.measured = self.since_renorm = 0
+        self.collapsed_at = None
+        self.iters, self.transient, self.renorm_interval = iters, transient, renorm_interval
+        n, b, alpha = p.n, p.b, p.alpha
+        bd = b * p.delta
+        half = 0.5 * p.delta
+        self.coef = (n, alpha, b, bd, 1.0 + alpha * p.a0, alpha * bd * math.sqrt(n),
+                     half, half * math.sqrt(n), n - 1, 1 + d.tau0, 1 + d.tau1, 1 + d.tau2)
+
+    def carry(self, last: int, period: int) -> None:
+        """Steps 1..``last``.  After step ``onset - depth`` every step reads
+        repeated entries of the record only.  Up to a period past it the
+        steps are taken one at a time, landing on the transient by whole
+        periods when that lies beyond; then whole periods at once, first
+        up to the transient, then to the end; then the rest one at a time."""
+        at = last
+        if period:
+            start = self.onset - self.depth
+            transient = self.transient
+            at = min(last, start + (transient - start) % period if transient > start else start)
+        self.advance(1, at)
+        if at == last or self.collapsed_at is not None:
+            return
+        powers = [_scaled(self.period_map(at, period), 0.0)]
+        if at < self.transient:
+            at = self.jump(powers, at, min(self.transient, last), period, logged=False)
+        if at >= self.transient and self.collapsed_at is None:
+            at = self.jump(powers, at, last, period, logged=True)
+        if self.collapsed_at is None:
+            self.advance(at + 1, last)
+
+    def _orbit(self, lo: int, hi: int) -> tuple:
+        # q0(t) and mean(t - tau1) as steps lo..hi read them
+        depth, l1 = self.depth, self.coef[-2]  # the lags l0, l1, l2 end the tuple
+        return (_tiled(self.q, depth + lo - 2, depth + hi - 1, self.onset),
+                _tiled(self.mean, depth + lo - 1 - l1, depth + hi - l1, self.onset))
+
+    def advance(self, lo: int, hi: int) -> None:
+        """Steps ``lo..hi``, one at a time."""
+        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
+        v, y, scale, acc = self.v, self.y, self.scale, self.acc
+        measured, since_renorm = self.measured, self.since_renorm
+        iters, transient, renorm_interval = self.iters, self.transient, self.renorm_interval
+        for i, q_now, mean1 in zip(range(lo, hi + 1), *self._orbit(lo, hi)):
+            total1 = n * mean1
+            v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
+            y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
+            del v[0], y[0]
+            if i > transient:
+                since_renorm += 1
+                if since_renorm < renorm_interval and i < iters:
+                    continue
+            elif i < transient and i % 64:
+                continue
+            norm = math.hypot(*v, *y)
+            stretch = norm / scale
+            if stretch < 1.0e-300:
+                self.collapsed_at = i
+                break
+            if i > transient:
+                acc += math.log(stretch)
+                measured += since_renorm
+                since_renorm = 0
+            scale = norm
+            if not 1.0e-6 < norm < 1.0e6:
+                v = [u / norm for u in v]
+                y = [u / norm for u in y]
+                scale = 1.0
+        self.v, self.y, self.scale, self.acc = v, y, scale, acc
+        self.measured, self.since_renorm = measured, since_renorm
+
+    def period_map(self, at: int, period: int) -> np.ndarray:
+        """The matrix M that carries the flat window (v, y) over steps
+        ``at + 1 .. at + period``: the identity columns pushed through the
+        step of ``advance``."""
+        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
+        depth = self.depth
+        v = np.zeros((depth + period, 2 * depth))
+        y = np.zeros((depth + period, 2 * depth))
+        v[:depth, :depth] = y[:depth, depth:] = np.eye(depth)
+        for t, q_now, mean1 in zip(range(depth, depth + period), *self._orbit(at + 1, at + period)):
+            total1 = n * mean1
+            v[t] = (own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[t - 1] - cross * q_now * y[t - l1]
+            y[t] = -half_root * v[t - l0] - half * (others * y[t - l2])
+        return np.vstack([v[period:], y[period:]])
+
+    def jump(self, powers: list, at: int, end: int, period: int, logged: bool) -> int:
+        """Whole periods from step ``at`` towards ``end`` at once: the window
+        becomes M^k times itself, divided by its norm.  A logged jump adds
+        the log of the stretch since the last renormalization, as one at
+        its end would.  Returns the step it lands on."""
+        k = (end - at) // period
+        if not k:
+            return at
+        at += k * period
+        carried = _power(powers, np.array(self.v + self.y), k)
+        if carried is None:
+            self.collapsed_at = at
+            return at
+        x, growth = carried
+        if logged:
+            self.acc += growth - math.log(self.scale)
+            self.measured += self.since_renorm + k * period
+            self.since_renorm = 0
+        self.scale = 1.0
+        depth = len(self.v)
+        self.v, self.y = x[:depth].tolist(), x[depth:].tolist()
+        return at
+
+
+def _scaled(m: np.ndarray, log_scale: float) -> tuple:
+    """``m`` divided by its largest entry, and ``log_scale`` plus the log of
+    that entry; (None, 0.0) for a zero matrix."""
+    top = float(np.abs(m).max())
+    return (m / top, log_scale + math.log(top)) if top > 0.0 else (None, 0.0)
+
+
+def _power(powers: list, x: np.ndarray, k: int) -> Optional[tuple]:
+    """(M^k x / |M^k x|, ln |M^k x|) by repeated squaring, or None when
+    M^k x is zero.  ``powers[j]`` is M^(2^j) as ``_scaled`` gives it; the
+    list is squared on as far as k needs."""
+    growth = 0.0
+    for j in range(k.bit_length()):
+        if j == len(powers):
+            m, log_scale = powers[-1]
+            powers.append(_scaled(m @ m, 2.0 * log_scale))
+        m, log_scale = powers[j]
+        if m is None:  # a zero power of M: so is M^k
+            return None
+        if k >> j & 1:
+            x = m @ x
+            norm = float(np.linalg.norm(x))
+            if not norm > 0.0:
+                return None
+            x /= norm
+            growth += log_scale + math.log(norm)
+    return x, growth
 
 
 def _iterate(
@@ -320,15 +546,32 @@ def _iterate(
     mean + deviation) is not finite or exceeds ``blowup`` in absolute
     value; that state is kept.
 
-    Over the first ``tangent_iters`` steps the exact linearization also
+    The orbit is integrated first.  Every 64 steps it looks for a bitwise
+    periodic onset: a window of the last tau_max + 1 entries of q0 and
+    mean equal, bit for bit (signed zeros by sign), to the one P <= 64
+    steps earlier.  The map is deterministic in its window, so the rest
+    of the record is that cycle repeated, and ``_Run`` keeps it implicit
+    (``onset``, ``period``).  From a start whose private outputs disagree,
+    every state of the repeated rest is still checked against the bound.
+    The record is thus exactly the one step-by-step iteration gives.
+
+    Then, over the first ``tangent_iters`` steps, the exact linearization
     carries one tangent window (v, y) = (dq0, sqrt(n) dmean), whose norm is
-    the per-firm norm of a symmetric tangent.  It is renormalized without
+    the per-firm norm of a symmetric tangent, with coefficients read from
+    the record in the same float expressions.  It is renormalized without
     logging every 64 steps before step ``transient`` and once at it, then
     every ``renorm_interval`` steps and at the last one, summing the logged
     stretches over ``measured`` steps.  A renormalization takes the stretch
     of the norm since the previous one; the entries are divided by the norm
     only when it leaves [1e-6, 1e6].  A stretch under 1e-300 stops the
-    tangent (``collapsed_at``) but not the orbit.
+    tangent (``collapsed_at``) but not the orbit.  Past the periodic onset
+    whole periods are carried at once, as powers of the period map M (the
+    identity pushed through P steps) by repeated squaring with log scales:
+    up to the transient without logging, then with the log of the growth
+    added to the sum, which telescopes to the same quantity in exact
+    arithmetic; a zero M^k times the window is a collapse.  Such a jump
+    moves ``log_stretch`` in its last digits; runs without a periodic
+    onset step the tangent one step at a time, as they always have.
 
     The record of q0 and mean is grown as lists of Python floats; with
     ``arrays`` it is returned as float arrays, a quarter of the memory,
@@ -341,9 +584,6 @@ def _iterate(
     half = 0.5 * p.delta
     base = p.a1 / (2.0 * b)
     others = n - 1
-    own0 = 1.0 + alpha * a0
-    cross = alpha * bd * math.sqrt(n)
-    half_root = half * math.sqrt(n)
     l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
     # a finite bound, so that one comparison also rejects inf and nan
     bound = min(blowup, sys.float_info.max)
@@ -351,60 +591,57 @@ def _iterate(
     q, mean, spread = _split(init.window, d, steps, half)
     if spread is not None:
         dev, factor, rows = spread
-        tops = (factor * dev.max(axis=1)[rows]).tolist()
-        bottoms = (factor * dev.min(axis=1)[rows]).tolist()
-    v, y = _initial_tangent(depth) if tangent_iters else ([], [])
-    scale = 1.0  # the tangent norm at the last renormalization
+        tops = factor * dev.max(axis=1)[rows]
+        bottoms = factor * dev.min(axis=1)[rows]
+        top_list, bottom_list = tops.tolist(), bottoms.tolist()
 
-    diverged_at = collapsed_at = None
-    acc = 0.0
-    measured = since_renorm = 0
-    for i in range(1, steps + 1):
-        q_now = q[-1]
-        total1 = n * mean[-l1]
-        q_new = q_now + alpha * q_now * (a0 - b * q_now - bd * total1)
-        mean_new = base - half * q[-l0] - half * (others * mean[-l2])
-        q.append(q_new)
-        mean.append(mean_new)
-        if spread is None:
-            bounded = abs(q_new) <= bound and abs(mean_new) <= bound
-        else:
-            bounded = (abs(q_new) <= bound and abs(mean_new + tops[i - 1]) <= bound
-                       and abs(mean_new + bottoms[i - 1]) <= bound)
-        if not bounded:
-            diverged_at = i
+    diverged_at = None
+    period = 0
+    for start in range(0, steps, _CHECK_EVERY):
+        for i in range(start + 1, min(start + _CHECK_EVERY, steps) + 1):
+            q_now = q[-1]
+            total1 = n * mean[-l1]
+            q_new = q_now + alpha * q_now * (a0 - b * q_now - bd * total1)
+            mean_new = base - half * q[-l0] - half * (others * mean[-l2])
+            q.append(q_new)
+            mean.append(mean_new)
+            if spread is None:
+                bounded = abs(q_new) <= bound and abs(mean_new) <= bound
+            else:
+                bounded = (abs(q_new) <= bound and abs(mean_new + top_list[i - 1]) <= bound
+                           and abs(mean_new + bottom_list[i - 1]) <= bound)
+            if not bounded:
+                diverged_at = i
+                break
+        if diverged_at is not None:
             break
-        if i > tangent_iters:
-            continue
+        if not i % _CHECK_EVERY:
+            period = _period(q, mean, depth)
+            if period:
+                break
+    onset = len(q) - period if period else None
+    if period and spread is not None:
+        # the aggregate repeats, but the deviations still decay: bound
+        # every per-firm state of the repeated rest as the step would
+        rest = np.arange(i + 1, steps + 1)
+        later = np.array(mean[onset:])[(rest + depth - 1 - onset) % period]
+        inside = (np.abs(later + tops[rest - 1]) <= bound) & (np.abs(later + bottoms[rest - 1]) <= bound)
+        if not inside.all():
+            diverged_at = int(rest[inside.argmin()])
+    done = steps if diverged_at is None else diverged_at
 
-        v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
-        y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
-        del v[0], y[0]
-        if i > transient:
-            since_renorm += 1
-            if since_renorm < renorm_interval and i < tangent_iters:
-                continue
-        elif i < transient and i % 64:
-            continue
-        norm = math.hypot(*v, *y)
-        stretch = norm / scale
-        if stretch < 1.0e-300:
-            collapsed_at, tangent_iters = i, 0
-            continue
-        if i > transient:
-            acc += math.log(stretch)
-            measured += since_renorm
-            since_renorm = 0
-        scale = norm
-        if not 1.0e-6 < norm < 1.0e6:
-            v = [u / norm for u in v]
-            y = [u / norm for u in y]
-            scale = 1.0
+    log_stretch, measured, collapsed_at, tangent = 0.0, 0, None, ([], [])
+    if tangent_iters:
+        carried = _Tangent(p, d, q, mean, onset, tangent_iters, transient, renorm_interval)
+        carried.carry(min(tangent_iters, done if diverged_at is None else done - 1), period)
+        log_stretch, measured = carried.acc, carried.measured
+        collapsed_at, tangent = carried.collapsed_at, (carried.v, carried.y)
 
     if arrays:
         q = np.fromiter(q, float, len(q))
         mean = np.fromiter(mean, float, len(mean))
-    return _Run(init.window, q, mean, spread, diverged_at, acc, measured, collapsed_at, (v, y))
+    return _Run(init.window, q, mean, spread, diverged_at, log_stretch, measured, collapsed_at,
+                tangent, depth + done, onset, period)
 
 
 def step(history: HistoryState, p: MarketParams, d: DelayConfig) -> np.ndarray:
