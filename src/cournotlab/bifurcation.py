@@ -145,12 +145,11 @@ def ns_boundary(
     p: MarketParams,
     d: DelayConfig,
     scan_points: int = 4096,
-    theta_min: float = THETA_MIN,
 ) -> list[BifurcationPoint]:
     """All interior unit-circle crossings of the reduced polynomial.
 
     Evaluates the crossing-angle equation on ``scan_points`` angles over
-    (theta_min, pi - theta_min) in one array call, bisects only the grid
+    (THETA_MIN, pi - THETA_MIN) in one array call, bisects only the grid
     intervals whose end values change sign to 1e-10 in theta, recovers
     the real eps1 from the crossing gain, converts it to alpha and keeps
     only points with positive alpha whose crossing root verifies against
@@ -168,7 +167,7 @@ def ns_boundary(
     tau2 = d.tau2
     kfac = k_factor(p)
 
-    grid = np.linspace(theta_min, math.pi - theta_min, scan_points)
+    grid = np.linspace(THETA_MIN, math.pi - THETA_MIN, scan_points)
     values = _crossing_angle_equation(grid, eps0, eps2, tau, tau2)
     head, tail = values[:-1], values[1:]
     brackets = np.flatnonzero((head == 0.0) | (head * tail < 0.0))

@@ -241,11 +241,9 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
 def _cmd_stability_region(cfg: RunConfig) -> None:
     dmin, dmax = cfg.require("delta_min", "delta_max")
     grid = np.linspace(dmin, dmax, cfg.get("delta_steps"))
-    if cfg.get("delta") is None:
-        # the template's point value is replaced per grid row anyway
-        cfg.values["delta"] = float(grid[0])
-    p = market_from_config(cfg)
-    rows = bifurcation.stability_region(p, grid)
+    # the grid sets delta per row: the market takes the first as its own
+    template = market_from_config(RunConfig({**cfg.values, "delta": float(grid[0])}))
+    rows = bifurcation.stability_region(template, grid)
     table = [
         np.array([r.delta for r in rows], dtype=float),
         np.array([r.alpha_max for r in rows], dtype=float),
@@ -380,7 +378,7 @@ COMMANDS = {
     "spectrum": (_cmd_spectrum, _keys(*MARKET, "alpha", *DELAYS, "which")),
     "stability-region": (
         _cmd_stability_region,
-        _keys(*MARKET, "delta_min", "delta_max", "delta_steps"),
+        _keys(*MARKET, "delta_min", "delta_max", "delta_steps") - {"delta"},
     ),
     "flip-boundary": (_cmd_flip_boundary, _keys(*MARKET, *DELAYS)),
     "ns-curve": (_cmd_ns_curve, _keys(*MARKET, *DELAYS, "theta_points")),

@@ -20,7 +20,9 @@ import numpy as np
 
 from .equilibria import positive_equilibrium
 from .errors import DivergenceError, NumericalError, ValidationError
-from .model import DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _iterate, simulate
+from .model import (
+    DEFAULT_BLOWUP, DelayConfig, HistoryState, MarketParams, _column, _iterate, simulate,
+)
 
 DEFAULT_PERTURBATION = 1.0e-2
 PERIOD_TOL = 1.0e-6
@@ -112,13 +114,12 @@ def default_initial_history(
 
 def classify_attractor(
     samples,
-    tolerance: float = PERIOD_TOL,
     k_max: int = PERIOD_KMAX,
     diverged: bool = False,
 ) -> AttractorSummary:
     """Type a sampled scalar orbit by minimal-lag recurrence.
 
-    A period k is accepted only if the samples recur within ``tolerance``
+    A period k is accepted only if the samples recur within PERIOD_TOL
     at lag k and at no smaller lag; a lag-1 recurrence that is not an
     outright fixed point indicates unfinished transient drift and is
     reported as aperiodic.
@@ -128,7 +129,7 @@ def classify_attractor(
         raise ValidationError("need at least 2 samples to classify")
     if diverged:
         return AttractorSummary(AttractorType.DIVERGENT, None, samples)
-    if samples.max() - samples.min() <= tolerance:
+    if samples.max() - samples.min() <= PERIOD_TOL:
         return AttractorSummary(AttractorType.FIXED_POINT, None, samples)
     size = samples.size
     lags = np.arange(1, min(k_max, size - 1) + 1)
@@ -137,7 +138,7 @@ def classify_attractor(
     later = lags[:, None] + np.arange(size)
     gaps = np.abs(np.take(samples, later, mode="clip") - samples)
     worst = np.max(gaps, axis=1, where=later < size, initial=0.0)
-    hits = lags[worst <= tolerance]
+    hits = lags[worst <= PERIOD_TOL]
     if hits.size and hits[0] > 1:  # a first hit at lag 1 is drift, not yet settled
         return AttractorSummary(AttractorType.PERIODIC, int(hits[0]), samples)
     return AttractorSummary(AttractorType.APERIODIC, None, samples)
@@ -225,7 +226,7 @@ def diagram_cell(
         tangent_iters=spec.lyap_iters, transient=spec.lyap_transient,
     )
     end = min(run.size, depth + steps)
-    samples = np.array(run.column(run.q0, max(depth, end - spec.samples), end))
+    samples = np.array(_column(run.q0, max(depth, end - spec.samples), end, run.onset))
     if run.diverged_at is not None and run.diverged_at <= steps:
         divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
         return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True), None

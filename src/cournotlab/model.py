@@ -19,9 +19,12 @@ tangent's coefficients from the recorded orbit.  Once the aggregate
 window repeats bit for bit (a bitwise periodic onset, most often rounding
 jitter around the fixed point), the rest of the orbit is that cycle
 repeated, which is exact: the map is deterministic in its window.  The
-tangent then crosses whole periods as one matrix power, which sums the
-same log stretch in another order, so a Lyapunov exponent moves in its
-last digits; orbits, samples and windows stay bit for bit the same.
+record is kept up to one cycle, and one reader, ``_column``, gives any
+stretch of it, the repeated tail included, to the per-firm states, the
+diagram samples, the tangent and the bound check.  The tangent crosses
+whole periods as one matrix power, which sums the same log stretch in
+another order, so a Lyapunov exponent moves in its last digits; orbits,
+samples and windows stay bit for bit the same.
 
 All operations here are pure: they never mutate their inputs and contain
 no randomness, so identical inputs produce bit-identical results.
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -237,7 +239,8 @@ class _Run(NamedTuple):
     ``q0`` and ``mean`` hold it as lists or arrays: all of it, or, when the
     orbit became periodic, its first ``onset + period`` entries, after
     which it repeats ``q0[onset:]`` and ``mean[onset:]`` (without a period
-    ``onset`` is None and ``period`` 0).  ``spread`` is None when the
+    ``onset`` is None and ``period`` 0); ``_column(q0, lo, hi, onset)``
+    reads entries ``lo:hi`` either way.  ``spread`` is None when the
     private outputs of the start agree; otherwise it holds the deviations
     from the mean of the last tau2 + 1 window rows, and per new step the
     factor and the row they are carried over from.  ``tangent`` is the
@@ -258,22 +261,6 @@ class _Run(NamedTuple):
     onset: Optional[int]
     period: int
 
-    def column(self, seq, lo: int, hi: int):
-        """Entries ``lo:hi`` of the record ``seq`` (``q0`` or ``mean``): a
-        slice of it, or a new array where they reach into the periodic
-        tail, repeated from ``seq[onset:]``."""
-        if hi <= len(seq):
-            return seq[lo:hi]
-        out = np.empty(hi - lo)
-        head = min(max(len(seq) - lo, 0), hi - lo)
-        out[:head] = seq[lo : lo + head]
-        if head < hi - lo:
-            cycle = np.roll(np.asarray(seq[self.onset :], dtype=float), self.onset - lo - head)
-            whole, part = divmod(hi - lo - head, self.period)
-            out[head : head + whole * self.period].reshape(whole, self.period)[:] = cycle
-            out[hi - lo - part :] = cycle[:part]
-        return out
-
     def states(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Per-firm rows ``lo:hi`` of the run (row tau_max is the start):
         the window rows as given, then each private output as the mean
@@ -281,8 +268,8 @@ class _Run(NamedTuple):
         depth, m = self.window.shape
         hi = self.size if hi is None else hi
         out = np.empty((hi - lo, m))
-        out[:, 0] = self.column(self.q0, lo, hi)
-        out[:, 1:] = np.asarray(self.column(self.mean, lo, hi))[:, None]
+        out[:, 0] = _column(self.q0, lo, hi, self.onset)
+        out[:, 1:] = np.asarray(_column(self.mean, lo, hi, self.onset))[:, None]
         first = max(lo, depth)
         if self.spread is not None and hi > first:
             dev, factor, rows = self.spread
@@ -358,16 +345,23 @@ def _same(seq: list, depth: int, period: int) -> bool:
     return True
 
 
-def _tiled(seq: list, lo: int, hi: int, onset: Optional[int]):
-    """An iterator over the record entries ``lo:hi`` of ``seq``, repeating
-    ``seq[onset:]`` past the end of the list."""
-    stored = len(seq)
-    if hi <= stored:
-        return islice(seq, lo, hi)
-    start = max(lo, stored)
-    skip = (start - onset) % (stored - onset)
-    tail = islice(cycle(seq[onset:]), skip, skip + hi - start)
-    return chain(islice(seq, lo, stored), tail) if lo < stored else tail
+def _column(seq, lo: int, hi: int, onset: Optional[int]):
+    """Entries ``lo:hi`` of the record ``seq`` (``q0`` or ``mean`` of a
+    ``_Run``): a slice of it, or a new array where they reach past its end.
+    There the record repeats ``seq[onset:]``: entry k is
+    ``seq[onset + (k - onset) % period]``, with period ``len(seq) - onset``."""
+    if hi <= len(seq):
+        return seq[lo:hi]
+    first = max(lo, onset)
+    period = len(seq) - onset
+    at = onset + (first - onset) % period  # the entry that ``first`` repeats
+    cycle = np.concatenate((seq[at:], seq[onset:at]))
+    whole, part = divmod(hi - first, period)
+    out = np.empty(hi - lo)
+    out[: first - lo] = seq[lo:first]
+    out[first - lo : hi - lo - part].reshape(whole, period)[:] = cycle
+    out[hi - lo - part :] = cycle[:part]
+    return out
 
 
 def _initial_tangent(depth: int) -> tuple[list, list]:
@@ -414,19 +408,17 @@ class _Tangent:
         self.advance(1, at)
         if at == last or self.collapsed_at is not None:
             return
-        powers = [_scaled(self.period_map(at, period), 0.0)]
-        if at < self.transient:
-            at = self.jump(powers, at, min(self.transient, last), period, logged=False)
-        if at >= self.transient and self.collapsed_at is None:
-            at = self.jump(powers, at, last, period, logged=True)
+        m = self.period_map(at, period)
+        at = self.jump(m, at, min(self.transient, last), period)
+        at = self.jump(m, at, last, period)
         if self.collapsed_at is None:
             self.advance(at + 1, last)
 
     def _orbit(self, lo: int, hi: int) -> tuple:
         # q0(t) and mean(t - tau1) as steps lo..hi read them
         depth, l1 = self.depth, self.coef[-2]  # the lags l0, l1, l2 end the tuple
-        return (_tiled(self.q, depth + lo - 2, depth + hi - 1, self.onset),
-                _tiled(self.mean, depth + lo - 1 - l1, depth + hi - l1, self.onset))
+        return (_column(self.q, depth + lo - 2, depth + hi - 1, self.onset),
+                _column(self.mean, depth + lo - 1 - l1, depth + hi - l1, self.onset))
 
     def advance(self, lo: int, hi: int) -> None:
         """Steps ``lo..hi``, one at a time."""
@@ -477,57 +469,45 @@ class _Tangent:
             y[t] = -half_root * v[t - l0] - half * (others * y[t - l2])
         return np.vstack([v[period:], y[period:]])
 
-    def jump(self, powers: list, at: int, end: int, period: int, logged: bool) -> int:
-        """Whole periods from step ``at`` towards ``end`` at once: the window
-        becomes M^k times itself, divided by its norm.  A logged jump adds
-        the log of the stretch since the last renormalization, as one at
-        its end would.  Returns the step it lands on."""
+    def jump(self, m: np.ndarray, at: int, end: int, period: int) -> int:
+        """Whole periods from step ``at`` towards ``end`` at once, with ``m``
+        the period map M there: the window becomes M^k times itself, divided
+        by its norm.  M^k is taken by repeated squaring, each power divided
+        by its largest entry with the log of it kept; a zero power or a zero
+        product is a collapse.  A jump from the transient or later adds the
+        log of the stretch since the last renormalization, as one at its
+        end would.  Returns the step it lands on."""
         k = (end - at) // period
-        if not k:
+        if k < 1 or self.collapsed_at is not None:
             return at
-        at += k * period
-        carried = _power(powers, np.array(self.v + self.y), k)
-        if carried is None:
-            self.collapsed_at = at
-            return at
-        x, growth = carried
-        if logged:
-            self.acc += growth - math.log(self.scale)
-            self.measured += self.since_renorm + k * period
-            self.since_renorm = 0
-        self.scale = 1.0
-        depth = len(self.v)
-        self.v, self.y = x[:depth].tolist(), x[depth:].tolist()
-        return at
-
-
-def _scaled(m: np.ndarray, log_scale: float) -> tuple:
-    """``m`` divided by its largest entry, and ``log_scale`` plus the log of
-    that entry; (None, 0.0) for a zero matrix."""
-    top = float(np.abs(m).max())
-    return (m / top, log_scale + math.log(top)) if top > 0.0 else (None, 0.0)
-
-
-def _power(powers: list, x: np.ndarray, k: int) -> Optional[tuple]:
-    """(M^k x / |M^k x|, ln |M^k x|) by repeated squaring, or None when
-    M^k x is zero.  ``powers[j]`` is M^(2^j) as ``_scaled`` gives it; the
-    list is squared on as far as k needs."""
-    growth = 0.0
-    for j in range(k.bit_length()):
-        if j == len(powers):
-            m, log_scale = powers[-1]
-            powers.append(_scaled(m @ m, 2.0 * log_scale))
-        m, log_scale = powers[j]
-        if m is None:  # a zero power of M: so is M^k
-            return None
-        if k >> j & 1:
-            x = m @ x
-            norm = float(np.linalg.norm(x))
-            if not norm > 0.0:
-                return None
-            x /= norm
-            growth += log_scale + math.log(norm)
-    return x, growth
+        x = np.array(self.v + self.y)
+        growth = log_scale = 0.0
+        for j in range(k.bit_length()):
+            if j:
+                m, log_scale = m @ m, 2.0 * log_scale
+            top = float(np.abs(m).max())
+            if not top > 0.0:
+                break
+            m, log_scale = m / top, log_scale + math.log(top)
+            if k >> j & 1:
+                x = m @ x
+                norm = float(np.linalg.norm(x))
+                if not norm > 0.0:
+                    break
+                x /= norm
+                growth += log_scale + math.log(norm)
+        else:
+            if at >= self.transient:
+                self.acc += growth - math.log(self.scale)
+                self.measured += self.since_renorm + k * period
+                self.since_renorm = 0
+            self.scale = 1.0
+            depth = len(self.v)
+            self.v, self.y = x[:depth].tolist(), x[depth:].tolist()
+            return at + k * period
+        # the loop broke on a zero power of M or a zero product
+        self.collapsed_at = at + k * period
+        return self.collapsed_at
 
 
 def _iterate(
@@ -624,7 +604,7 @@ def _iterate(
         # the aggregate repeats, but the deviations still decay: bound
         # every per-firm state of the repeated rest as the step would
         rest = np.arange(i + 1, steps + 1)
-        later = np.array(mean[onset:])[(rest + depth - 1 - onset) % period]
+        later = _column(mean, depth + i, depth + steps, onset)
         inside = (np.abs(later + tops[rest - 1]) <= bound) & (np.abs(later + bottoms[rest - 1]) <= bound)
         if not inside.all():
             diverged_at = int(rest[inside.argmin()])

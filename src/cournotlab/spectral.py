@@ -145,22 +145,19 @@ def reduced_char_poly(eps: EpsilonTriple, d: DelayConfig) -> CharPoly:
 def full_char_poly(p: MarketParams, d: DelayConfig, which) -> CharPoly:
     """Full characteristic polynomial at the requested equilibrium.
 
-    ``which`` is "positive" or "boundary" (EquilibriumKind values also
-    work).  The positive case multiplies the reduced polynomial by the
-    private difference-mode factor ``(lambda^(tau2+1) - delta/2)^(n-1)``.
-    The boundary case factors completely; its unstable linear factor
-    keeps the adjustment-speed term.
+    ``which`` is "positive" or "boundary".  The positive case multiplies
+    the reduced polynomial by the private difference-mode factor
+    ``(lambda^(tau2+1) - delta/2)^(n-1)``.  The boundary case factors
+    completely; its unstable linear factor keeps the adjustment-speed term.
     """
-    label = getattr(which, "value", which)
-    label = str(label).lower()
     diff_factor = _shifted_monomial_factor(d.tau2, -0.5 * p.delta)
 
-    if label == "positive":
+    if which == "positive":
         require_assumptions(p)
         reduced = reduced_char_poly(epsilon_triple(p), d)
         factors = ((diff_factor, p.n - 1), (reduced.coeffs, 1))
         kind = CharPolyKind.FULL_POSITIVE
-    elif label == "boundary":
+    elif which == "boundary":
         m_gain = (p.gamma * p.a0 - p.n * p.delta * p.a1) / p.gamma
         linear = np.array([-(1.0 + p.alpha * m_gain), 1.0])
         sym_factor = _shifted_monomial_factor(d.tau2, 0.5 * (p.n - 1) * p.delta)
@@ -206,34 +203,17 @@ class SpectrumReport:
         return np.abs(self.roots)
 
 
-def _roots_ascending(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of an ascending-coefficient polynomial, zeros included.
-
-    Exact zero low-order coefficients are stripped first and reported as
-    roots at the origin; the rest goes through the balanced companion
-    matrix (numpy's solver).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        raise ValidationError("zero polynomial has no spectrum")
-    zeros_at_origin = nz[0]
-    trimmed = coeffs[zeros_at_origin:]
-    roots = np.zeros(zeros_at_origin, dtype=complex)
-    if trimmed.size > 1:
-        roots = np.concatenate([np.roots(trimmed[::-1]), roots])
-    return roots
-
-
-def classify_roots(roots: np.ndarray, tol: float = ON_CIRCLE_TOL) -> SpectrumReport:
+def classify_roots(roots: np.ndarray) -> SpectrumReport:
+    """The stability verdict of ``roots``: a root counts as on the unit
+    circle when its modulus is within ON_CIRCLE_TOL of 1."""
     moduli = np.abs(roots)
     max_modulus = float(moduli.max()) if moduli.size else 0.0
-    on_circle = int(np.count_nonzero(np.abs(moduli - 1.0) < tol))
-    if max_modulus < 1.0 - tol:
+    on_circle = int(np.count_nonzero(np.abs(moduli - 1.0) < ON_CIRCLE_TOL))
+    if max_modulus < 1.0 - ON_CIRCLE_TOL:
         cls = StabilityClass.ASYMPTOTICALLY_STABLE
     elif on_circle > 0:
         cls = StabilityClass.NON_HYPERBOLIC
-    elif np.any(moduli < 1.0 - tol):
+    elif np.any(moduli < 1.0 - ON_CIRCLE_TOL):
         cls = StabilityClass.SADDLE
     else:
         cls = StabilityClass.UNSTABLE
@@ -245,17 +225,16 @@ def classify_roots(roots: np.ndarray, tol: float = ON_CIRCLE_TOL) -> SpectrumRep
     )
 
 
-def poly_roots(cp: CharPoly, tol: float = ON_CIRCLE_TOL) -> SpectrumReport:
-    """All roots of a characteristic polynomial with a stability verdict."""
+def poly_roots(cp: CharPoly) -> SpectrumReport:
+    """All roots of a characteristic polynomial with a stability verdict.
+
+    Each distinct factor goes once through numpy's balanced companion
+    matrix, which reports the exact zero low-order coefficients as roots
+    at the origin; its roots are then repeated by its multiplicity."""
     if cp.degree < 1:
         raise ValidationError("need degree >= 1 to compute a spectrum")
-    parts = []
-    for coeffs, mult in cp.factors:
-        r = _roots_ascending(coeffs)
-        for _ in range(mult):
-            parts.append(r)
-    roots = np.concatenate(parts)
-    return classify_roots(roots, tol=tol)
+    roots = np.concatenate([np.tile(np.roots(coeffs[::-1]), mult) for coeffs, mult in cp.factors])
+    return classify_roots(roots)
 
 
 def no_public_firm_spectrum(p: MarketParams, tau2: int) -> SpectrumReport:

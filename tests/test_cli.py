@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cournotlab import bifurcation, cli
+from cournotlab import bifurcation, cli, spectral
 from cournotlab.cli import COMMANDS, _build_parser, main
 from cournotlab.config import (
     KEY_ORDER, KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
@@ -83,6 +83,12 @@ class TestConfigParsing:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    def test_line_without_equals_exits_two_with_its_line(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n=4\ndelta 0.4\n")
+        assert main(["equilibria", "--config", str(path)]) == 2
+        assert f"{path}:2" in capsys.readouterr().err
+
     def test_removed_coarse_points_key_exits_two(self, capsys, tmp_path):
         path = tmp_path / "old.cfg"
         path.write_text("n=4\ncoarse_points=200\n")
@@ -127,6 +133,34 @@ class TestSubcommands:
                      "--a0", "1", "--a1", "2.5", "--b", "1"])
         assert code == 2
         assert "A.1" in capsys.readouterr().err
+
+    def test_equilibria_without_the_first_assumption(self, capsys):
+        assert main(["equilibria", "--n", "4", "--delta", "0.4", "--a0", "1", "--a1", "2.5",
+                     "--b", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["assumptions"]["a1_holds"] is False
+        assert payload["q0_star"] is None and payload["q1_star"] is None
+        assert payload["e_plus"] is None and "e_plus_residual" not in payload
+
+    @pytest.mark.parametrize("which", ["reduced", "no-public-firm"])
+    def test_spectrum_selector(self, capsys, which):
+        p = MarketParams(b=1.0, delta=0.4, alpha=1.2, n=4, a0=2.0, a1=2.5)
+        d = DelayConfig(3, 5, 5)
+        assert main(["spectrum", "--which", which, *SEC4_FLAGS, "--alpha", "1.2",
+                     "--tau0", "3", "--tau1", "5", "--tau2", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if which == "reduced":
+            want = spectral.poly_roots(spectral.reduced_char_poly(spectral.epsilon_triple(p), d))
+        else:
+            want = spectral.no_public_firm_spectrum(p, d.tau2)
+        assert (sorted((r["re"], r["im"]) for r in payload["roots"])
+                == sorted((z.real, z.imag) for z in want.roots.tolist()))
+        assert payload["classification"] == want.classification.value
+        assert payload["max_modulus"] == want.max_modulus
+
+    def test_unknown_spectrum_selector_exits_two(self, capsys):
+        assert main(["spectrum", "--which", "interior", *SEC4_FLAGS]) == 2
+        assert "interior" in capsys.readouterr().err
 
     def test_spectrum_json_schema(self, capsys):
         assert main(["spectrum", "--which", "boundary", *SEC4_FLAGS]) == 0
@@ -176,7 +210,7 @@ class TestSubcommands:
 
     def test_stability_region_csv(self, tmp_path):
         out = tmp_path / "region.csv"
-        assert main(["stability-region", *SEC4_FLAGS,
+        assert main(["stability-region", "--n", "4", "--a0", "2", "--a1", "2.5", "--b", "1",
                      "--delta-min", "0.1", "--delta-max", "0.6",
                      "--delta-steps", "6", "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -193,6 +227,16 @@ class TestSubcommands:
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert rows[1].endswith(",true")
         assert rows[-1].endswith(",false") and ",nan," in rows[-1]
+
+    def test_stability_region_reads_no_point_delta(self, capsys, tmp_path):
+        grid = ["--delta-min", "0.1", "--delta-max", "0.9", "--delta-steps", "3"]
+        assert main(["stability-region", *SEC4_FLAGS, *grid]) == 2
+        assert "--delta 0.4" in capsys.readouterr().err
+        out = tmp_path / "region.csv"
+        assert main(["stability-region", "--n", "4", "--a0", "2", "--a1", "2.5", "--b", "1",
+                     *grid, "--out", str(out)]) == 0
+        echo = _echo(out.read_text())
+        assert "delta" not in echo and echo["delta_min"] == "0.1"
 
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -259,6 +303,12 @@ class TestSubcommands:
         out = capsys.readouterr()
         assert "transient" in out.err and out.out == ""
 
+    def test_lyapunov_renorm_interval_below_one_exits_two(self, capsys):
+        code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.0", "--renorm-interval", "0"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "renorm_interval" in out.err and out.out == ""
+
     def test_lyapunov_divergence_exits_three(self, capsys):
         code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.65",
                      "--tau0", "5", "--tau1", "3", "--tau2", "3"])
@@ -270,6 +320,12 @@ class TestSubcommands:
                      "--tau0", "3", "--tau1", "5", "--tau2", "5"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_unknown_policy_exits_two(self, capsys):
+        code = main(["bifurcation-diagram", *SEC4_FLAGS, "--alpha-min", "1.0",
+                     "--alpha-max", "1.1", "--alpha-steps", "2", "--policy", "Sideways"])
+        assert code == 2
+        assert "policy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, key", [
         (["--lyap-iters", "100", "--lyap-transient", "200"], "lyap_iters"),

@@ -6,8 +6,9 @@ whole periods as one matrix power.  The oracle is the same kernel with
 the detector ``model._period`` disabled, so that every run steps its
 orbit and tangent one step at a time.  Orbits, samples and continuation
 windows must match it bit for bit; exponents, which the jump sums in
-another order, within EXP_RTOL relative plus EXP_ATOL.  Every test checks
-that the jump was taken, through ``_Run.onset`` and ``_Run.period``.
+another order, within EXP_RTOL relative plus EXP_ATOL.  Every test of a
+run checks that its record repeated, through ``_Run.onset`` and
+``_Run.period``.
 """
 
 import contextlib
@@ -154,6 +155,13 @@ class TestOrbits:
                        (len(run.q0) + 11, len(run.q0) + 12)]:
             assert same_bits(run.states(lo, hi), want.states(lo, hi))
 
+    def test_column_repeats_the_cycle_past_the_record(self):
+        seq, onset = [float(k) for k in range(10)], 6  # the last 4 entries repeat
+        for lo, hi in [(0, 10), (2, 7), (9, 11), (0, 23), (6, 30), (11, 12), (13, 29), (5, 6)]:
+            want = [seq[k if k < onset else onset + (k - onset) % 4] for k in range(lo, hi)]
+            for record in (seq, np.array(seq)):
+                assert list(model._column(record, lo, hi, onset)) == want
+
     def test_start_on_the_fixed_point_repeats_at_once(self, sec4):
         d = DelayConfig(2, 1, 3)
         point = HistoryState.constant(positive_equilibrium(sec4).point, d.tau_max + 1)
@@ -267,6 +275,41 @@ class TestExponents:
                              transient=2000)
         assert run.period and run.onset - (d.tau_max + 1) < 64
         assert run.collapsed_at is not None
+
+    def test_collapse_stops_the_tangent_where_the_jump_lands(self, sec4, monkeypatch):
+        """The unlogged jump lands on the transient with a zero window: the
+        tangent stops there, and neither the logged jump nor the steps
+        after it run."""
+        monkeypatch.setattr(model, "_initial_tangent", lambda depth: ([0.0] * depth, [0.0] * depth))
+        d = DelayConfig(1, 1, 1)
+        point = HistoryState.constant(positive_equilibrium(sec4).point, d.tau_max + 1)
+        run = model._iterate(point, sec4, d, 3001, DEFAULT_BLOWUP, tangent_iters=3001,
+                             transient=2000)
+        assert run.period == 1 and run.onset - (d.tau_max + 1) < 64
+        assert run.collapsed_at == 2000
+        assert run.measured == 0 and run.log_stretch == 0.0
+
+    @pytest.mark.parametrize("after_start", [False, True])
+    def test_fewer_steps_than_one_period_after_alignment(self, after_start):
+        """Once the steps are aligned on the period, less than one period
+        remains: no jump is taken, and every step is the per-step one."""
+        p, d = sec4_at(1.0), DelayConfig(1, 1, 1)
+        init = default_initial_history(p, d)
+        orbit = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP)
+        period = orbit.period
+        assert period == 20
+        start = orbit.onset - (d.tau_max + 1)
+        # aligned on ``start`` itself, or on the transient 3 steps past it
+        transient = start + 3 if after_start else start // 2
+        last = (start + 3 if after_start else start) + period - 1
+        kwargs = dict(tangent_iters=last, transient=transient)
+        run = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
+        with per_step():
+            want = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
+        assert run.period == period and not want.period
+        assert run.measured == want.measured == last - transient
+        assert run.log_stretch == want.log_stretch
+        assert run.tangent == want.tangent
 
 
 class TestAsymmetricStarts:
