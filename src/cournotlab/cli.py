@@ -273,7 +273,7 @@ def _cmd_flip_boundary(cfg: RunConfig) -> None:
 def _cmd_ns_curve(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
-    pts = bifurcation.ns_boundary(p, d, scan_points=cfg.get("theta_points"))
+    pts = bifurcation.ns_boundary(p, d)
     rows = [(pt.theta, pt.eps1, pt.alpha_crit, pt.residual) for pt in pts]
     columns = {"theta": float, "eps1": float, "alpha": float, "residual": float}
     _write(cfg, _csv_chunks(cfg, columns, np.array(rows, dtype=float).reshape(-1, 4).T))
@@ -381,7 +381,7 @@ COMMANDS = {
         _keys(*MARKET, "delta_min", "delta_max", "delta_steps") - {"delta"},
     ),
     "flip-boundary": (_cmd_flip_boundary, _keys(*MARKET, *DELAYS)),
-    "ns-curve": (_cmd_ns_curve, _keys(*MARKET, *DELAYS, "theta_points")),
+    "ns-curve": (_cmd_ns_curve, _keys(*MARKET, *DELAYS)),
     "critical-alpha": (_cmd_critical_alpha, _keys(*MARKET, *DELAYS, "alpha_min", "alpha_max")),
     "bifurcation-diagram": (
         _cmd_bifurcation_diagram,

@@ -42,7 +42,6 @@ KEY_SPECS = (
     ("lyap_iters", int),
     ("lyap_transient", int),
     ("renorm_interval", int),
-    ("theta_points", int),
     ("workers", int),
     ("out", str),
 )
@@ -69,7 +68,6 @@ DEFAULTS = {
     "lyap_iters": 20000,
     "lyap_transient": 1000,
     "renorm_interval": 1,
-    "theta_points": 4096,
     "workers": 1,
 }
 

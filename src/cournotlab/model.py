@@ -408,9 +408,9 @@ class _Tangent:
         self.advance(1, at)
         if at == last or self.collapsed_at is not None:
             return
-        m = self.period_map(at, period)
-        at = self.jump(m, at, min(self.transient, last), period)
-        at = self.jump(m, at, last, period)
+        m, powers = self.period_map(at, period), []
+        at = self.jump(m, powers, at, min(self.transient, last), period)
+        at = self.jump(m, powers, at, last, period)
         if self.collapsed_at is None:
             self.advance(at + 1, last)
 
@@ -469,28 +469,34 @@ class _Tangent:
             y[t] = -half_root * v[t - l0] - half * (others * y[t - l2])
         return np.vstack([v[period:], y[period:]])
 
-    def jump(self, m: np.ndarray, at: int, end: int, period: int) -> int:
+    def jump(self, m: np.ndarray, powers: list, at: int, end: int, period: int) -> int:
         """Whole periods from step ``at`` towards ``end`` at once, with ``m``
         the period map M there: the window becomes M^k times itself, divided
         by its norm.  M^k is taken by repeated squaring, each power divided
-        by its largest entry with the log of it kept; a zero power or a zero
-        product is a collapse.  A jump from the transient or later adds the
-        log of the stretch since the last renormalization, as one at its
-        end would.  Returns the step it lands on."""
+        by its largest entry with the log of it kept; ``powers`` holds these
+        (power, log) pairs for the next jump from the same M.  A zero power
+        or a zero product is a collapse.  A jump from the transient or later
+        adds the log of the stretch since the last renormalization, as one
+        at its end would.  Returns the step it lands on."""
         k = (end - at) // period
         if k < 1 or self.collapsed_at is not None:
             return at
         x = np.array(self.v + self.y)
-        growth = log_scale = 0.0
+        growth = 0.0
         for j in range(k.bit_length()):
-            if j:
-                m, log_scale = m @ m, 2.0 * log_scale
-            top = float(np.abs(m).max())
-            if not top > 0.0:
-                break
-            m, log_scale = m / top, log_scale + math.log(top)
+            if j == len(powers):
+                if j:
+                    square, log_scale = powers[-1]
+                    square, log_scale = square @ square, 2.0 * log_scale
+                else:
+                    square, log_scale = m, 0.0
+                top = float(np.abs(square).max())
+                if not top > 0.0:
+                    break
+                powers.append((square / top, log_scale + math.log(top)))
+            square, log_scale = powers[j]
             if k >> j & 1:
-                x = m @ x
+                x = square @ x
                 norm = float(np.linalg.norm(x))
                 if not norm > 0.0:
                     break

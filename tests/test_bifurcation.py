@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,14 +105,6 @@ class TestNsBoundary:
                        - 2 * eps0 * math.cos((tau + 1) * th)
                        - 2 * eps0 * eps2 * math.cos((tau - tau2) * th))
                 assert pt.eps1 == pytest.approx(num / den, abs=1e-9)
-
-    def test_scan_refinement_is_stable(self, sec4):
-        for delays in (DelayConfig(5, 3, 3), DelayConfig(3, 5, 5), DelayConfig(9, 7, 5)):
-            coarse = ns_boundary(sec4, delays, scan_points=4096)
-            fine = ns_boundary(sec4, delays, scan_points=8192)
-            assert len(coarse) == len(fine)
-            for a, b in zip(coarse, fine):
-                assert a.theta == pytest.approx(b.theta, abs=1e-8)
 
     def test_no_interior_crossing_without_delays(self, sec4):
         assert ns_boundary(sec4, DelayConfig(0, 0, 0)) == []
@@ -233,7 +226,7 @@ class TestCriticalAlphaAgainstScan:
         with pytest.raises(NumericalError, match="1.2"):
             critical_alpha(sec4, DelayConfig(5, 3, 3), (1.0, 1.6))
 
-    def test_three_root_extractions_per_call(self, sec4, monkeypatch):
+    def test_no_root_extraction_per_call(self, sec4, monkeypatch):
         calls = []
         real_roots = np.roots
 
@@ -243,13 +236,21 @@ class TestCriticalAlphaAgainstScan:
 
         monkeypatch.setattr(np, "roots", counting_roots)
         critical_alpha(sec4, DelayConfig(9, 7, 5), (1.0, 1.7))
-        assert len(calls) == 3
+        assert len(calls) == 0
 
 
-def _scalar_ns_scan(p, d, scan_points=4096, theta_min=bifurcation.THETA_MIN):
-    """Reference ns_boundary: the crossing-angle equation evaluated point by
-    point with math.cos, then a walk over every grid interval that bisects
-    each sign change, then the same gain, residual and alpha filters."""
+# the scan window of the reference below: it cannot see crossings within
+# this of 0 or pi
+THETA_MIN = 1.0e-3
+
+
+def _scalar_ns_scan(p, d, scan_points=4096, theta_min=THETA_MIN):
+    """Reference crossing set by a grid scan: the crossing-angle equation
+    evaluated point by point with math.cos, then a walk over every grid
+    interval that bisects each sign change until the midpoint no longer
+    moves, then the gain, residual and alpha filters.  It finds only the
+    crossings that change sign between two grid points inside the window,
+    so ns_boundary must hold every point it finds."""
     eps0, eps2 = coupling_epsilons(p)
     tau, tau2 = d.tau_sum, d.tau2
     kfac = k_factor(p)
@@ -266,7 +267,7 @@ def _scalar_ns_scan(p, d, scan_points=4096, theta_min=bifurcation.THETA_MIN):
     values = np.array([f(t) for t in grid])
     angles = []
     for i in range(scan_points - 1):
-        lo, hi = grid[i], grid[i + 1]
+        lo, hi = float(grid[i]), float(grid[i + 1])
         flo, fhi = values[i], values[i + 1]
         if flo == 0.0:
             angles.append(lo)
@@ -275,7 +276,7 @@ def _scalar_ns_scan(p, d, scan_points=4096, theta_min=bifurcation.THETA_MIN):
             continue
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if hi - lo < 1.0e-10:
+            if mid in (lo, hi):
                 break
             fmid = f(mid)
             if fmid == 0.0:
@@ -287,56 +288,236 @@ def _scalar_ns_scan(p, d, scan_points=4096, theta_min=bifurcation.THETA_MIN):
                 lo, flo = mid, fmid
         angles.append(0.5 * (lo + hi))
     if values[-1] == 0.0:
-        angles.append(grid[-1])
+        angles.append(float(grid[-1]))
 
     points = []
     for theta in angles:
-        ratio = bifurcation._crossing_gain(theta, eps0, eps2, tau, tau2)
-        if not np.isfinite(ratio.real) or abs(ratio.imag) > bifurcation.NS_RESIDUAL_TOL:
+        lam = cmath.exp(1j * theta)
+        h = cmath.exp(1j * (tau + 1) * theta) + eps2 * cmath.exp(1j * (tau - tau2) * theta)
+        if abs(eps0 - h) < 1.0e-14:
+            continue
+        ratio = (lam * h - eps0) / (eps0 - h)
+        if abs(ratio.imag) > bifurcation.NS_RESIDUAL_TOL:
             continue
         eps1 = ratio.real
         alpha = (eps1 + 1.0) / kfac
         if alpha <= 0.0:
             continue
-        residual = bifurcation._residual_on_circle(
-            EpsilonTriple(eps0, eps1, eps2), d, cmath.exp(1j * theta)
-        )
-        if residual > bifurcation.NS_RESIDUAL_TOL:
+        cp = reduced_char_poly(EpsilonTriple(eps0, eps1, eps2), d)
+        if abs(cp(lam)) > bifurcation.NS_RESIDUAL_TOL:
             continue
-        points.append(BifurcationPoint(alpha, BifurcationKind.NEIMARK_SACKER, theta, eps1, residual))
-    points.sort(key=lambda pt: pt.theta)
+        points.append((theta, alpha))
     return points
+
+
+def _assert_contains(found, reference):
+    """Every (theta, alpha) of ``reference`` lies within 1e-9 of a point found."""
+    thetas = np.array([pt.theta for pt in found])
+    alphas = np.array([pt.alpha_crit for pt in found])
+    for theta, alpha in reference:
+        near = (np.abs(thetas - theta) <= 1e-9) & (np.abs(alphas - alpha) <= 1e-9)
+        assert near.any(), (theta, alpha)
 
 
 class TestNsBoundaryAgainstScalarScan:
     @pytest.mark.parametrize("tau, tau2", GRID_STRATA)
-    def test_matches_scalar_scan(self, sec4, tau, tau2):
+    def test_contains_scalar_scan(self, sec4, tau, tau2):
         d = DelayConfig(0, tau, tau2)
-        assert ns_boundary(sec4, d) == _scalar_ns_scan(sec4, d)
+        _assert_contains(ns_boundary(sec4, d), _scalar_ns_scan(sec4, d))
 
     @pytest.mark.parametrize("scan_points", [2, 3, 8, 8192])
     @pytest.mark.parametrize("delays", [
         DelayConfig(5, 3, 3), DelayConfig(3, 5, 5), DelayConfig(9, 7, 5), DelayConfig(0, 0, 9),
         DelayConfig(15, 15, 30),
     ])
-    def test_matches_scalar_scan_at_other_grid_sizes(self, sec4, delays, scan_points):
-        new = ns_boundary(sec4, delays, scan_points=scan_points)
-        assert new == _scalar_ns_scan(sec4, delays, scan_points=scan_points)
+    def test_contains_scalar_scan_at_other_grid_sizes(self, sec4, delays, scan_points):
+        found = ns_boundary(sec4, delays)
+        _assert_contains(found, _scalar_ns_scan(sec4, delays, scan_points=scan_points))
 
     def test_oracle_finds_crossings(self, sec4):
         # the comparisons above are not between two empty lists
         found = [len(_scalar_ns_scan(sec4, DelayConfig(0, tau, tau2))) for tau, tau2 in GRID_STRATA]
         assert sum(n > 0 for n in found) > 100 and sum(found) > 500
 
-    @pytest.mark.parametrize("scan_points", [1, 0, -5])
-    def test_grid_too_small_to_scan_rejected(self, sec4, scan_points):
-        with pytest.raises(ValidationError, match="theta_points"):
-            ns_boundary(sec4, DelayConfig(5, 3, 3), scan_points=scan_points)
+    def test_crossing_the_scan_dropped_at_1_15(self, sec4):
+        # a grid scan that bisects theta only to 1e-10 leaves the gain an
+        # imaginary part of 1.5e-8 here, above NS_RESIDUAL_TOL, and drops
+        # the point; at the polished angle it is real to 1e-11
+        d = DelayConfig(0, 1, 15)
+        pt = next(pt for pt in ns_boundary(sec4, d) if abs(pt.theta - 2.960192) < 1e-6)
+        assert pt.alpha_crit == pytest.approx(7.7163, abs=1e-4)
+        assert pt.residual <= 1e-12
+        eps = dataclasses.replace(epsilon_triple(sec4), eps1=pt.eps1)
+        roots = np.roots(reduced_char_poly(eps, d).coeffs[::-1])
+        on_circle = roots[np.argmin(np.abs(np.abs(roots) - 1.0))]
+        assert abs(abs(on_circle) - 1.0) <= 1e-9
+        assert abs(abs(cmath.phase(on_circle)) - pt.theta) <= 1e-6
 
-    @pytest.mark.parametrize("scan_points", [bifurcation.THETA_POINTS_MAX + 1, 2_000_000])
-    def test_grid_above_the_cap_rejected(self, sec4, scan_points):
-        with pytest.raises(ValidationError, match="theta_points"):
-            ns_boundary(sec4, DelayConfig(5, 3, 3), scan_points=scan_points)
+
+def _outside_count(coeffs):
+    """Exact number of roots outside the unit circle of the real polynomial
+    with ascending ``coeffs``, by the Bistritz table over Fractions
+    (Bistritz, Proc. IEEE 72, 1984).  Roots at the origin are split off
+    first.  With the symmetric polynomials T_n = D + D*, T_(n-1) =
+    (D - D*)/(z - 1) and T_(k-1) = (delta_k (1 + z) T_k - T_(k+1)) / z,
+    delta_k = T_(k+1)(0) / T_k(0), the count is the number of sign changes
+    in T_n(1), ..., T_0(1).  A zero T_k(0) or T_k(1) is a singular table,
+    which this reference does not resolve."""
+    d = [Fraction(c) for c in coeffs]
+    while d[-1] == 0:
+        d.pop()
+    while d[0] == 0:
+        d.pop(0)
+    n = len(d) - 1
+    upper = [a + b for a, b in zip(d, reversed(d))]
+    diff = [a - b for a, b in zip(d, reversed(d))]
+    lower, acc = [Fraction(0)] * n, Fraction(0)
+    for k in range(n, 0, -1):  # (D - D*) / (z - 1), from the top
+        acc += diff[k]
+        lower[k - 1] = acc
+    values = [sum(upper), sum(lower)]
+    for k in range(n - 1, 0, -1):
+        assert lower[0] != 0, "singular Bistritz table"
+        delta = upper[0] / lower[0]
+        shifted = [Fraction(0)] + lower
+        step = [delta * (a + b) - c for a, b, c in zip(lower + [Fraction(0)], shifted, upper)]
+        assert step[0] == 0 and step[-1] == 0
+        upper, lower = lower, step[1:-1]
+        values.append(sum(lower))
+    assert all(values), "singular Bistritz table"
+    return sum((a > 0) != (b > 0) for a, b in zip(values, values[1:]))
+
+
+# the running example's eps0, eps2 and k factor as exact fractions; the
+# library's floats differ from them in the last bit
+SEC4_EXACT = (Fraction(8, 25), Fraction(3, 5), Fraction(15, 16))
+# rational alphas in (0, 12), at least 1e-4 from every rational with a
+# denominator below 10 (where the flip points of the running example lie)
+EXACT_ALPHAS = [Fraction(1, 997) + Fraction(j, 2) for j in range(24)]
+
+
+def _exact_reduced(d, alpha):
+    """The running example's reduced polynomial at the rational ``alpha``,
+    in exact arithmetic."""
+    eps0, eps2, kfac = SEC4_EXACT
+    eps1 = Fraction(alpha) * kfac - 1
+    tau, tau2 = d.tau_sum, d.tau2
+    c = [Fraction(0)] * (tau + tau2 + 3)
+    c[tau2] += eps0 * (eps1 + 1)
+    c[tau + tau2 + 2] -= 1
+    c[tau + tau2 + 1] -= eps1
+    c[tau + 1] -= eps2
+    c[tau] -= eps1 * eps2
+    return c
+
+
+def _numeric_count(p, d, alpha):
+    eps = dataclasses.replace(epsilon_triple(p), eps1=alpha * k_factor(p) - 1.0)
+    return int(np.sum(np.abs(np.roots(reduced_char_poly(eps, d).coeffs[::-1])) > 1.0))
+
+
+# strata of reduced degree at most 40: a grid, the regaining strata, the
+# two 1:2 resonances and (1,15)
+EXACT_STRATA = sorted(
+    {(tau, tau2) for tau in range(0, 31, 6) for tau2 in range(0, 31, 6) if tau + tau2 <= 38}
+    | {(tau, tau2) for tau, tau2 in REGAINING_STRATA if tau + tau2 <= 38}
+    | {(2, 15), (7, 15), (1, 15)}
+)
+# the resonant strata, where -1 is a double root at the flip: alpha and
+# the exact P''(-1) at eps0 = 8/25, eps2 = 3/5
+RESONANCES = [((2, 15), Fraction(16, 9), Fraction(144, 5)),
+              ((7, 15), Fraction(8, 3), Fraction(216, 5))]
+
+
+class TestCrossingCount:
+    def test_exact_parameters_are_the_running_example(self, sec4):
+        eps0, eps2, kfac = SEC4_EXACT
+        assert coupling_epsilons(sec4) == pytest.approx((float(eps0), float(eps2)), abs=1e-15)
+        assert k_factor(sec4) == pytest.approx(float(kfac), abs=1e-15)
+
+    def test_bistritz_reference_agrees_with_root_moduli(self, sec4):
+        for tau, tau2 in [(0, 0), (3, 5), (9, 14), (2, 15)]:
+            d = DelayConfig(0, tau, tau2)
+            for alpha in EXACT_ALPHAS[1::5]:
+                assert _outside_count(_exact_reduced(d, alpha)) == _numeric_count(
+                    sec4, d, float(alpha))
+
+    @pytest.mark.parametrize("tau, tau2", EXACT_STRATA)
+    def test_count_matches_the_exact_table(self, sec4, tau, tau2):
+        d = DelayConfig(0, tau, tau2)
+        for alpha in EXACT_ALPHAS:
+            expected = _outside_count(_exact_reduced(d, alpha))
+            assert bifurcation.unstable_count(sec4, d, float(alpha)) == expected, alpha
+
+    @pytest.mark.parametrize("tau, tau2", [(0, 0), (0, 9), (5, 3), (30, 0), (0, 30)])
+    def test_root_at_one_moves_inside(self, sec4, tau, tau2):
+        # at alpha = 0, P = -(lambda - 1)(lambda^(tau2+1) + eps2) lambda^tau;
+        # the root at 1 moves with dlambda/dalpha = k (eps0 - 1 - eps2) / (1 + eps2)
+        eps0, eps2 = coupling_epsilons(sec4)
+        speed = k_factor(sec4) * (eps0 - 1.0 - eps2) / (1.0 + eps2)
+        assert speed < 0.0
+        d = DelayConfig(0, tau, tau2)
+        alpha = 1e-6
+        eps = dataclasses.replace(epsilon_triple(sec4), eps1=alpha * k_factor(sec4) - 1.0)
+        roots = np.roots(reduced_char_poly(eps, d).coeffs[::-1])
+        moved = roots[np.argmin(np.abs(roots - 1.0))]
+        assert abs(moved) < 1.0
+        assert (moved - 1.0) / alpha == pytest.approx(speed, rel=1e-3)
+        assert bifurcation.unstable_count(sec4, d, alpha) == 0 == _numeric_count(sec4, d, alpha)
+
+    @pytest.mark.parametrize("tau", [0, 3, 7])
+    def test_count_where_the_top_crossing_terms_cancel(self, tau):
+        # n = 2, delta = 1/2 gives eps0 = eps2 = 1/4, and at tau0 + tau1 =
+        # tau2 the leading Chebyshev coefficient of the crossing
+        # polynomial, 2 (eps0 - eps2), is an exact zero
+        p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=2, a0=2.0, a1=2.5)
+        d = DelayConfig(0, tau, tau)
+        for alpha in (0.5, 1.0, 1.5, 1.9, 2.1, 4.0, 8.0):  # the flip is at alpha = 2
+            assert bifurcation.unstable_count(p, d, alpha) == _numeric_count(p, d, alpha)
+
+    @pytest.mark.parametrize("n, delta", [(6, 0.5), (8, 0.45)])
+    def test_count_starts_from_the_private_roots_when_eps2_exceeds_one(self, n, delta):
+        # eps2 = (n-1) delta / 2 > 1: the tau2 + 1 roots of
+        # lambda^(tau2+1) = -eps2 start outside the circle
+        p = MarketParams(b=1.0, delta=delta, alpha=1.0, n=n, a0=2.0, a1=2.5)
+        assert coupling_epsilons(p)[1] > 1.0
+        for tau, tau2 in [(0, 0), (3, 5), (9, 2)]:
+            d = DelayConfig(0, tau, tau2)
+            assert bifurcation.unstable_count(p, d, 1e-3) == tau2 + 1
+            for alpha in (0.3, 1.1, 2.7, 6.1):
+                assert bifurcation.unstable_count(p, d, alpha) == _numeric_count(p, d, alpha)
+
+    def test_no_count_when_eps2_is_one(self):
+        p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=5, a0=2.0, a1=2.5)
+        assert coupling_epsilons(p)[1] == 1.0
+        with pytest.raises(NumericalError, match="eps2 = 1"):
+            bifurcation.unstable_count(p, DelayConfig(0, 1, 1), 1.0)
+
+    @pytest.mark.parametrize("stratum, alpha_c, second", RESONANCES)
+    def test_one_to_two_resonance(self, sec4, stratum, alpha_c, second):
+        tau, tau2 = stratum
+        d = DelayConfig(0, tau, tau2)
+        c = _exact_reduced(d, alpha_c)
+        derivatives = [sum(a * (-1) ** (k - j) * math.perm(k, j) for k, a in enumerate(c) if k >= j)
+                       for j in range(3)]
+        assert derivatives == [0, 0, second]
+        flip = flip_boundary(sec4, d)
+        assert flip.alpha_crit == pytest.approx(float(alpha_c), abs=1e-12)
+        # the double root at -1 is the flip, not a Neimark-Sacker row
+        assert all(pt.theta < math.pi - 1e-3 for pt in ns_boundary(sec4, d))
+        for step in (Fraction(-1, 100), Fraction(-1, 10**4), Fraction(1, 10**4), Fraction(1, 100)):
+            alpha = alpha_c + step
+            expected = _outside_count(_exact_reduced(d, alpha))
+            assert bifurcation.unstable_count(sec4, d, float(alpha)) == expected == _numeric_count(
+                sec4, d, float(alpha))
+
+    @pytest.mark.parametrize("tau, tau2", REGAINING_STRATA)
+    def test_count_follows_the_regained_window(self, sec4, tau, tau2):
+        d = DelayConfig(0, tau, tau2)
+        counts = [bifurcation.unstable_count(sec4, d, a) for a in np.linspace(0.5, 3.0, 200)]
+        assert counts == [_numeric_count(sec4, d, a) for a in np.linspace(0.5, 3.0, 200)]
+        first = next(i for i, n in enumerate(counts) if n)
+        assert 0 in counts[first:]
 
 
 class TestStabilityRegion:

@@ -107,13 +107,13 @@ class TestParser:
         assert "--bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, prefix", [
-        (["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
-          "--theta", "8"], "--theta"),
+        (["ns-curve", "--n", "4", "--delt", "0.4", "--a0", "2", "--a1", "2.5", "--b", "1",
+          "--tau0", "5", "--tau1", "3", "--tau2", "3"], "--delt"),
         (["simulate", *SEC4_FLAGS, "--alph", "1.3", "--step", "3"], "--alph"),
     ])
     def test_flag_prefix_is_not_taken_for_the_flag(self, capsys, argv, prefix):
-        # --theta is a prefix of --theta-points only, --alph of --alpha and
-        # --step of --steps; each must be spelled in full
+        # --delt is a prefix of --delta only, --alph of --alpha and --step
+        # of --steps; each must be spelled in full
         assert main(argv) == 2
         out = capsys.readouterr()
         assert prefix in out.err and out.out == ""
@@ -489,7 +489,6 @@ blowup=1e6
 lyap_iters=600
 lyap_transient=200
 renorm_interval=1
-theta_points=256
 workers=1
 out=unused.out
 """
@@ -538,32 +537,31 @@ class TestCommandTable:
         assert set(echo) == COMMANDS[name][1] - NON_EXPERIMENT_KEYS
 
     def test_unread_flag_exits_two(self, capsys):
-        # critical_alpha takes the closed-form first crossing; it scans no
-        # theta grid, so the flag is not offered
+        # critical-alpha runs no orbit, so the flag of simulate is not offered
         code = main(["critical-alpha", *SEC4_FLAGS, "--tau0", "3", "--tau1", "5",
                      "--tau2", "5", "--alpha-min", "1.0", "--alpha-max", "1.5",
-                     "--theta-points", "8"])
+                     "--steps", "8"])
         assert code == 2
-        assert "--theta-points" in capsys.readouterr().err
+        assert "--steps" in capsys.readouterr().err
         assert main(["equilibria", *SEC4_FLAGS, "--tau0", "3"]) == 2
 
-    def test_ns_curve_honours_theta_points(self, monkeypatch, tmp_path):
-        seen = []
-        original = bifurcation.ns_boundary
-
-        def spy(p, d, scan_points):
-            seen.append(scan_points)
-            return original(p, d, scan_points=scan_points)
-
-        monkeypatch.setattr(bifurcation, "ns_boundary", spy)
-        path = tmp_path / "run.cfg"
+    def test_removed_theta_points_key_exits_two(self, capsys, tmp_path):
+        # ns_boundary roots a polynomial: there is no theta grid to size
+        path = tmp_path / "old.cfg"
         path.write_text("theta_points=64\n")
-        flags = [*SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
-                 "--out", str(tmp_path / "ns.csv")]
-        assert main(["ns-curve", *flags, "--theta-points", "128"]) == 0
-        assert main(["ns-curve", "--config", str(path), *flags]) == 0
-        assert seen == [128, 64]
-        assert "# theta_points=64" in (tmp_path / "ns.csv").read_text().splitlines()
+        flags = [*SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3"]
+        assert main(["ns-curve", "--config", str(path), *flags]) == 2
+        out = capsys.readouterr()
+        assert "theta_points" in out.err and out.out == ""
+        assert main(["ns-curve", *flags, "--theta-points", "4096"]) == 2
+        out = capsys.readouterr()
+        assert "--theta-points" in out.err and out.out == ""
+
+    def test_ns_curve_header_has_no_theta_points(self, tmp_path):
+        out = tmp_path / "ns.csv"
+        assert main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
+                     "--out", str(out)]) == 0
+        assert not any(line.startswith("# theta_points") for line in out.read_text().splitlines())
 
     def test_shared_config_key_is_neither_applied_nor_echoed(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -571,28 +569,6 @@ class TestCommandTable:
         assert main(["equilibria", "--config", str(path)]) == 0
         config = json.loads(capsys.readouterr().out)["config"]
         assert config == {"n": 4, "delta": 0.4, "b": 1.0, "a0": 2.0, "a1": 2.5}
-
-    @pytest.mark.parametrize("value", ["0", "1", "-5"])
-    def test_theta_grid_too_small_to_scan_exits_two(self, capsys, value):
-        code = main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
-                     "--theta-points", value])
-        assert code == 2
-        out = capsys.readouterr()
-        assert "theta_points" in out.err and out.out == ""
-
-    def test_theta_grid_above_the_cap_exits_two(self, capsys):
-        code = main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
-                     "--theta-points", "2000000"])
-        assert code == 2
-        out = capsys.readouterr()
-        assert "theta_points" in out.err and out.out == ""
-
-    @pytest.mark.parametrize("value", ["4096", "8192"])
-    def test_theta_grid_within_the_cap_runs(self, tmp_path, value):
-        out = tmp_path / "ns.csv"
-        assert main(["ns-curve", *SEC4_FLAGS, "--tau0", "5", "--tau1", "3", "--tau2", "3",
-                     "--theta-points", value, "--out", str(out)]) == 0
-        assert f"# theta_points={value}" in out.read_text().splitlines()
 
     @pytest.mark.parametrize("name", ALPHA_FREE)
     def test_alpha_is_neither_a_flag_nor_echoed(self, capsys, tmp_path, name):
