@@ -22,7 +22,6 @@ import numpy as np
 
 from .equilibria import check_assumptions, require_assumptions
 from .errors import (
-    DegenerateBoundaryError,
     NoCrossingError,
     NotStableAtStartError,
     NumericalError,
@@ -32,7 +31,7 @@ from .model import DelayConfig, MarketParams
 # reduced_char_poly is not called here; it stays reachable as
 # bifurcation.reduced_char_poly, where perfbench/spans.py counts the
 # polynomials built inside critical_alpha
-from .spectral import coupling_epsilons, k_factor, reduced_char_poly
+from .spectral import coupling_epsilons, flip_gain, k_factor, reduced_char_poly
 
 NS_RESIDUAL_TOL = 1.0e-8
 # an eigenvalue of the colleague matrix whose imaginary part is at most
@@ -52,26 +51,6 @@ POLISH_STEPS = 8
 class BifurcationKind(enum.Enum):
     FLIP = "Flip"
     NEIMARK_SACKER = "NeimarkSacker"
-
-
-@dataclass(frozen=True)
-class ParityCase:
-    """Parities of tau0 + tau1 and tau2, which set the flip-condition signs."""
-
-    sum_parity: int
-    tau2_parity: int
-
-    @classmethod
-    def from_delays(cls, d: DelayConfig) -> "ParityCase":
-        return cls(sum_parity=d.tau_sum % 2, tau2_parity=d.tau2 % 2)
-
-    @property
-    def sign_sum(self) -> int:
-        return -1 if self.sum_parity else 1
-
-    @property
-    def sign_tau2(self) -> int:
-        return -1 if self.tau2_parity else 1
 
 
 @dataclass(frozen=True)
@@ -114,23 +93,13 @@ def _residual(eps0: float, eps2: float, d: DelayConfig, theta, eps1):
 def flip_boundary(p: MarketParams, d: DelayConfig) -> BifurcationPoint:
     """Adjustment speed at which a root of the reduced polynomial sits at -1.
 
-    The critical eps1 is
-    ``(1 - eps2*s2 - eps0*s) / (1 - eps2*s2 + eps0*s)`` with
+    The critical eps1 is ``spectral.flip_gain`` with the signs
     ``s = (-1)^(tau0+tau1)`` and ``s2 = (-1)^tau2``, converted to alpha
     through the k factor.
     """
     require_assumptions(p, which=("A.1",))
-    parity = ParityCase.from_delays(d)
     eps0, eps2 = coupling_epsilons(p)
-    s = parity.sign_sum
-    s2 = parity.sign_tau2
-
-    denom = 1.0 - eps2 * s2 + eps0 * s
-    if abs(denom) < 1.0e-12:
-        raise DegenerateBoundaryError(
-            f"flip condition degenerate: 1 - eps2*{s2} + eps0*{s} = {denom}"
-        )
-    eps1 = (1.0 - eps2 * s2 - eps0 * s) / denom
+    eps1 = flip_gain(eps0, eps2, s=-1 if d.tau_sum % 2 else 1, s2=-1 if d.tau2 % 2 else 1)
     alpha = (eps1 + 1.0) / k_factor(p)
     if alpha <= 0.0:
         raise NumericalError(
@@ -397,31 +366,26 @@ class StabilityRegionRow:
     a2_holds: bool
 
 
-def stability_region(p: MarketParams, delta_grid, n: int | None = None) -> list[StabilityRegionRow]:
+def stability_region(p: MarketParams, delta_grid) -> list[StabilityRegionRow]:
     """Upper stability boundary alpha_max(delta) of the zero-delay region.
 
-    For each delta the boundary is ``(1 + eps1_bound) / k_factor`` where
-    eps1_bound is the zero-delay stability limit; rows where eps2 >= 1 or
-    a positivity assumption fails carry alpha_max = nan and a false
-    feasibility flag.
+    For each delta the boundary is ``(1 + flip_gain(eps0, eps2)) /
+    k_factor``, the zero-delay stability limit of eps1 converted to alpha;
+    rows where eps2 >= 1 or a positivity assumption fails carry
+    alpha_max = nan and a false feasibility flag.
     """
-    n = p.n if n is None else n
     rows = []
-    for delta in np.asarray(delta_grid, dtype=float):
+    for delta in np.asarray(delta_grid, dtype=float).tolist():
         if not 0.0 < delta < 1.0:
             raise ValidationError(f"delta grid value {delta} outside (0, 1)")
-        q = dataclasses.replace(p, delta=float(delta), n=n)
+        q = dataclasses.replace(p, delta=delta)
         report = check_assumptions(q)
         eps0, eps2 = coupling_epsilons(q)
         feasible = report.a1_holds and report.a2_holds and eps2 < 1.0
-        if feasible:
-            bound = (1.0 - eps2 - eps0) / (1.0 - eps2 + eps0)
-            alpha_max = (1.0 + bound) / k_factor(q)
-        else:
-            alpha_max = float("nan")
+        alpha_max = (1.0 + flip_gain(eps0, eps2)) / k_factor(q) if feasible else math.nan
         rows.append(
             StabilityRegionRow(
-                delta=float(delta),
+                delta=delta,
                 alpha_max=alpha_max,
                 feasible=feasible,
                 a1_holds=report.a1_holds,

@@ -240,7 +240,10 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
 
 def _cmd_stability_region(cfg: RunConfig) -> None:
     dmin, dmax = cfg.require("delta_min", "delta_max")
-    grid = np.linspace(dmin, dmax, cfg.get("delta_steps"))
+    steps = cfg.get("delta_steps")
+    if steps < 1:
+        raise ConfigError(f"delta_steps must be >= 1, got {steps}")
+    grid = np.linspace(dmin, dmax, steps)
     # the grid sets delta per row: the market takes the first as its own
     template = market_from_config(RunConfig({**cfg.values, "delta": float(grid[0])}))
     rows = bifurcation.stability_region(template, grid)
@@ -257,15 +260,14 @@ def _cmd_flip_boundary(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
     bp = bifurcation.flip_boundary(p, d)
-    parity = bifurcation.ParityCase.from_delays(d)
     payload = {
         "kind": bp.kind.value,
         "alpha": bp.alpha_crit,
         "theta": bp.theta,
         "eps1": bp.eps1,
         "residual": bp.residual,
-        "sum_parity": parity.sum_parity,
-        "tau2_parity": parity.tau2_parity,
+        "sum_parity": d.tau_sum % 2,
+        "tau2_parity": d.tau2 % 2,
     }
     _write(cfg, [_json_text(cfg, payload)])
 

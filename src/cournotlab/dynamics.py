@@ -59,7 +59,14 @@ class SweepSpec:
                 f"need 0 <= lyap_transient < lyap_iters, got lyap_transient={self.lyap_transient}"
                 f" and lyap_iters={self.lyap_iters}"
             )
-        _check_orbit(self.transient, self.samples, self.perturbation)
+        # a bounded cell is typed by classify_attractor, which needs two
+        # samples: checked here, so a sweep whose cells all escape fails too
+        if self.transient < 1 or self.samples < 2:
+            raise ValidationError(
+                f"need transient >= 1 and samples >= 2, got transient={self.transient}"
+                f" and samples={self.samples}"
+            )
+        _check_perturbation(self.perturbation)
         if not self.blowup > 0.0:
             raise ValidationError(f"blowup must be positive, got {self.blowup}")
 
@@ -68,9 +75,7 @@ class SweepSpec:
         return np.linspace(self.alpha_min, self.alpha_max, self.num_alpha)
 
 
-def _check_orbit(transient: int, samples: int, perturbation: float) -> None:
-    if transient < 1 or samples < 1:
-        raise ValidationError("transient and samples must both be >= 1")
+def _check_perturbation(perturbation: float) -> None:
     if not math.isfinite(perturbation):
         raise ValidationError(f"perturbation must be finite, got {perturbation}")
 
@@ -94,7 +99,6 @@ class AttractorType(enum.Enum):
 class AttractorSummary:
     kind: AttractorType
     period: Optional[int]
-    samples: np.ndarray
 
     @property
     def label(self) -> str:
@@ -106,17 +110,15 @@ class AttractorSummary:
 def default_initial_history(
     p: MarketParams, d: DelayConfig, perturbation: float = DEFAULT_PERTURBATION
 ) -> HistoryState:
-    """Constant history at the interior equilibrium, public output bumped."""
+    """Constant history at the interior equilibrium, public output bumped
+    by the finite ``perturbation``."""
+    _check_perturbation(perturbation)
     point = positive_equilibrium(p).point.copy()
     point[0] += perturbation
     return HistoryState.constant(point, d.tau_max + 1)
 
 
-def classify_attractor(
-    samples,
-    k_max: int = PERIOD_KMAX,
-    diverged: bool = False,
-) -> AttractorSummary:
+def classify_attractor(samples, k_max: int = PERIOD_KMAX) -> AttractorSummary:
     """Type a sampled scalar orbit by minimal-lag recurrence.
 
     A period k is accepted only if the samples recur within PERIOD_TOL
@@ -127,10 +129,8 @@ def classify_attractor(
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValidationError("need at least 2 samples to classify")
-    if diverged:
-        return AttractorSummary(AttractorType.DIVERGENT, None, samples)
     if samples.max() - samples.min() <= PERIOD_TOL:
-        return AttractorSummary(AttractorType.FIXED_POINT, None, samples)
+        return AttractorSummary(AttractorType.FIXED_POINT, None)
     size = samples.size
     lags = np.arange(1, min(k_max, size - 1) + 1)
     # row k - 1 compares s[j + k] with s[j]; the indices past the end of
@@ -140,8 +140,8 @@ def classify_attractor(
     worst = np.max(gaps, axis=1, where=later < size, initial=0.0)
     hits = lags[worst <= PERIOD_TOL]
     if hits.size and hits[0] > 1:  # a first hit at lag 1 is drift, not yet settled
-        return AttractorSummary(AttractorType.PERIODIC, int(hits[0]), samples)
-    return AttractorSummary(AttractorType.APERIODIC, None, samples)
+        return AttractorSummary(AttractorType.PERIODIC, int(hits[0]))
+    return AttractorSummary(AttractorType.APERIODIC, None)
 
 
 def largest_lyapunov(
@@ -163,7 +163,8 @@ def largest_lyapunov(
     private deviations from their mean add the rate ln(delta/2)/(tau2 + 1),
     and the larger of the two is returned.
 
-    Raises DivergenceError if the orbit leaves the blow-up bound.
+    Raises DivergenceError if the orbit leaves the blow-up bound, which
+    must be positive.
     """
     if not 0 <= transient < iters:
         raise ValidationError(
@@ -228,7 +229,7 @@ def diagram_cell(
     end = min(run.size, depth + steps)
     samples = np.array(_column(run.q0, max(depth, end - spec.samples), end, run.onset))
     if run.diverged_at is not None and run.diverged_at <= steps:
-        divergent = AttractorSummary(AttractorType.DIVERGENT, None, samples)
+        divergent = AttractorSummary(AttractorType.DIVERGENT, None)
         return DiagramRow(alpha, samples, float("nan"), divergent, diverged=True), None
     if run.collapsed_at is not None:
         raise NumericalError("tangent vector collapsed to zero")
@@ -283,7 +284,8 @@ def phase_portrait(
 ) -> PhasePortrait:
     """The ``samples`` (q0(t), q1(t)) pairs after ``transient`` steps at the
     adjustment speed ``p.alpha``."""
-    _check_orbit(transient, samples, perturbation)
+    if transient < 1 or samples < 1:
+        raise ValidationError("transient and samples must both be >= 1")
     init = default_initial_history(p, d, perturbation)
     traj = simulate(p, d, init, transient + samples, blowup=blowup)
     # skip row 0, the start; a bounded orbit's samples never reach it

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,15 +10,8 @@ from .errors import AssumptionError, ValidationError
 from .model import DelayConfig, HistoryState, MarketParams, step
 
 
-class EquilibriumKind(enum.Enum):
-    BOUNDARY = "Boundary"
-    POSITIVE = "Positive"
-    REDUCED_SYMMETRIC = "ReducedSymmetric"
-
-
 @dataclass(frozen=True)
 class Equilibrium:
-    kind: EquilibriumKind
     point: np.ndarray
     residual: float
 
@@ -85,11 +77,7 @@ def boundary_equilibrium(p: MarketParams) -> Equilibrium:
     q_star = p.a1 / (p.b * p.gamma)
     point = np.full(p.dimension, q_star)
     point[0] = 0.0
-    return Equilibrium(
-        kind=EquilibriumKind.BOUNDARY,
-        point=point,
-        residual=_fixed_point_residual(point, p),
-    )
+    return Equilibrium(point=point, residual=_fixed_point_residual(point, p))
 
 
 def positive_equilibrium(p: MarketParams) -> Equilibrium:
@@ -100,11 +88,7 @@ def positive_equilibrium(p: MarketParams) -> Equilibrium:
     q1_star = (p.a1 - p.delta * p.a0) / denom
     point = np.full(p.dimension, q1_star)
     point[0] = q0_star
-    return Equilibrium(
-        kind=EquilibriumKind.POSITIVE,
-        point=point,
-        residual=_fixed_point_residual(point, p),
-    )
+    return Equilibrium(point=point, residual=_fixed_point_residual(point, p))
 
 
 def reduced_fixed_point(p: MarketParams) -> Equilibrium:
@@ -123,8 +107,4 @@ def reduced_fixed_point(p: MarketParams) -> Equilibrium:
     total = point.sum()
     image = p.a1 / (2.0 * p.b) - 0.5 * p.delta * (total - point)
     residual = float(np.abs(image - point).max())
-    return Equilibrium(
-        kind=EquilibriumKind.REDUCED_SYMMETRIC,
-        point=point,
-        residual=residual,
-    )
+    return Equilibrium(point=point, residual=residual)

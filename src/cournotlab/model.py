@@ -530,7 +530,7 @@ def _iterate(
     in plain floats.  Iterates ``steps`` times from ``init`` and stops at
     the first step (``diverged_at``) whose per-firm state (q0 and every
     mean + deviation) is not finite or exceeds ``blowup`` in absolute
-    value; that state is kept.
+    value; that state is kept.  ``blowup`` must be positive.
 
     The orbit is integrated first.  Every 64 steps it looks for a bitwise
     periodic onset: a window of the last tau_max + 1 entries of q0 and
@@ -564,6 +564,8 @@ def _iterate(
     and the lists are freed before the caller builds anything from it.
     """
     _check_window(init, p, d)
+    if not blowup > 0.0:
+        raise ValidationError(f"blowup must be positive, got {blowup}")
     depth = d.tau_max + 1
     n, a0, b, alpha = p.n, p.a0, p.b, p.alpha
     bd = b * p.delta
@@ -658,8 +660,6 @@ def simulate(
     """
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
-    if not blowup > 0.0:
-        raise ValidationError(f"blowup must be positive, got {blowup}")
     run = _iterate(init, p, d, steps, blowup, arrays=True)
     depth = d.tau_max + 1
     states = run.states()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import require_assumptions
-from .errors import ValidationError
+from .errors import DegenerateBoundaryError, ValidationError
 from .model import DelayConfig, MarketParams
 
 ON_CIRCLE_TOL = 1.0e-7
@@ -50,6 +50,22 @@ def coupling_epsilons(p: MarketParams) -> tuple[float, float]:
     return 0.5 * p.n * p.delta**2, 0.5 * (p.n - 1) * p.delta
 
 
+def flip_gain(eps0: float, eps2: float, s: int = 1, s2: int = 1) -> float:
+    """eps1 at which lambda = -1 is a root of the reduced polynomial.
+
+    It is ``(1 - eps2*s2 - eps0*s) / (1 - eps2*s2 + eps0*s)`` with
+    ``s = (-1)^(tau0+tau1)`` and ``s2 = (-1)^tau2``; with no delays
+    (s = s2 = 1) it is the zero-delay stability limit of eps1.  Raises
+    DegenerateBoundaryError where the denominator vanishes.
+    """
+    denom = 1.0 - eps2 * s2 + eps0 * s
+    if abs(denom) < 1.0e-12:
+        raise DegenerateBoundaryError(
+            f"flip condition degenerate: 1 - eps2*{s2} + eps0*{s} = {denom}"
+        )
+    return (1.0 - eps2 * s2 - eps0 * s) / denom
+
+
 def epsilon_triple(p: MarketParams) -> EpsilonTriple:
     """Reduced-polynomial coefficients for the interior equilibrium.
 
@@ -58,13 +74,6 @@ def epsilon_triple(p: MarketParams) -> EpsilonTriple:
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
     return EpsilonTriple(eps0=eps0, eps1=p.alpha * k_factor(p) - 1.0, eps2=eps2)
-
-
-class CharPolyKind(enum.Enum):
-    REDUCED = "Reduced"
-    FULL_POSITIVE = "FullPositive"
-    BOUNDARY = "Boundary"
-    NO_PUBLIC_FIRM = "NoPublicFirm"
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,6 @@ class CharPoly:
     """
 
     coeffs: np.ndarray
-    kind: CharPolyKind
-    delays: DelayConfig
     factors: tuple
 
     def __post_init__(self):
@@ -139,7 +146,7 @@ def reduced_char_poly(eps: EpsilonTriple, d: DelayConfig) -> CharPoly:
     c[tau + tau2 + 1] -= eps.eps1
     c[tau + 1] -= eps.eps2
     c[tau] -= eps.eps1 * eps.eps2
-    return CharPoly(coeffs=c, kind=CharPolyKind.REDUCED, delays=d, factors=((c, 1),))
+    return CharPoly(coeffs=c, factors=((c, 1),))
 
 
 def full_char_poly(p: MarketParams, d: DelayConfig, which) -> CharPoly:
@@ -156,32 +163,27 @@ def full_char_poly(p: MarketParams, d: DelayConfig, which) -> CharPoly:
         require_assumptions(p)
         reduced = reduced_char_poly(epsilon_triple(p), d)
         factors = ((diff_factor, p.n - 1), (reduced.coeffs, 1))
-        kind = CharPolyKind.FULL_POSITIVE
     elif which == "boundary":
         m_gain = (p.gamma * p.a0 - p.n * p.delta * p.a1) / p.gamma
         linear = np.array([-(1.0 + p.alpha * m_gain), 1.0])
         sym_factor = _shifted_monomial_factor(d.tau2, 0.5 * (p.n - 1) * p.delta)
         factors = ((diff_factor, p.n - 1), (linear, 1), (sym_factor, 1))
-        kind = CharPolyKind.BOUNDARY
     else:
         raise ValidationError(f"unknown equilibrium selector {which!r}")
 
     factors = tuple((f, m) for f, m in factors if m > 0)
-    return CharPoly(coeffs=_expand(factors), kind=kind, delays=d, factors=factors)
+    return CharPoly(coeffs=_expand(factors), factors=factors)
 
 
 def no_public_firm_char_poly(p: MarketParams, tau2: int) -> CharPoly:
     """Characteristic polynomial of the market without the public firm."""
     if p.n < 2:
         raise ValidationError(f"no-public-firm analysis needs n >= 2, got n={p.n}")
-    d = DelayConfig(0, 0, tau2)
     factors = (
         (_shifted_monomial_factor(tau2, -0.5 * p.delta), p.n - 1),
         (_shifted_monomial_factor(tau2, 0.5 * (p.n - 1) * p.delta), 1),
     )
-    return CharPoly(
-        coeffs=_expand(factors), kind=CharPolyKind.NO_PUBLIC_FIRM, delays=d, factors=factors
-    )
+    return CharPoly(coeffs=_expand(factors), factors=factors)
 
 
 class StabilityClass(enum.Enum):
@@ -197,10 +199,6 @@ class SpectrumReport:
     max_modulus: float
     on_circle_count: int
     classification: StabilityClass
-
-    @property
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.roots)
 
 
 def classify_roots(roots: np.ndarray) -> SpectrumReport:
@@ -246,9 +244,9 @@ def no_public_firm_spectrum(p: MarketParams, tau2: int) -> SpectrumReport:
 class DelayFreeReport:
     """Outcome of the zero-delay stability test with signed margins.
 
-    Stability holds iff eps2 < 1 and
-    eps1 < (1 - eps2 - eps0) / (1 - eps2 + eps0); both margins are
-    positive exactly when their inequality holds.
+    Stability holds iff eps2 < 1 and eps1 < ``flip_gain(eps0, eps2)``
+    = (1 - eps2 - eps0) / (1 - eps2 + eps0); both margins are positive
+    exactly when their inequality holds.
     """
 
     stable: bool
@@ -259,8 +257,7 @@ class DelayFreeReport:
 def delay_free_stable(eps: EpsilonTriple) -> DelayFreeReport:
     eps2_margin = 1.0 - eps.eps2
     if eps2_margin > 0.0:
-        bound = (1.0 - eps.eps2 - eps.eps0) / (1.0 - eps.eps2 + eps.eps0)
-        eps1_margin = bound - eps.eps1
+        eps1_margin = flip_gain(eps.eps0, eps.eps2) - eps.eps1
     else:
         eps1_margin = -np.inf
     return DelayFreeReport(

@@ -14,7 +14,6 @@ from cournotlab import (
     NoCrossingError,
     NotStableAtStartError,
     NumericalError,
-    ParityCase,
     ValidationError,
     critical_alpha,
     epsilon_triple,
@@ -54,11 +53,6 @@ class TestFlipBoundary:
         cp = reduced_char_poly(eps, delays)
         assert abs(cp(-1.0 + 0.0j)) < 1e-10
         assert flip_boundary(sec4, delays).residual < 1e-10
-
-    def test_parity_case_derivation(self):
-        parity = ParityCase.from_delays(DelayConfig(9, 7, 5))
-        assert parity.sum_parity == 0 and parity.tau2_parity == 1
-        assert parity.sign_sum == 1 and parity.sign_tau2 == -1
 
     def test_nonpositive_alpha_rejected(self):
         # odd sum with even tau2 and eps0 + eps2 > 1 drives eps1 below -1
@@ -527,14 +521,14 @@ class TestStabilityRegion:
         assert rows[0].alpha_max == pytest.approx(32.0 / 27.0, abs=1e-9)
 
     def test_strong_coupling_with_many_firms_is_infeasible(self, sec4):
-        rows = stability_region(sec4, [0.25], n=11)
+        rows = stability_region(dataclasses.replace(sec4, n=11), [0.25])
         assert not rows[0].feasible
         assert math.isnan(rows[0].alpha_max)
 
     def test_feasible_band_shrinks_with_firm_count(self, sec4):
         grid = np.linspace(0.02, 0.98, 49)
         def top(n):
-            rows = stability_region(sec4, grid, n=n)
+            rows = stability_region(dataclasses.replace(sec4, n=n), grid)
             feasible = [r.delta for r in rows if r.feasible]
             return max(feasible) if feasible else 0.0
         assert top(32) < top(8) < top(2)

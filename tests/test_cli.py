@@ -196,6 +196,14 @@ class TestSubcommands:
         assert payload["kind"] == "Flip"
         assert payload["alpha"] == pytest.approx(32.0 / 27.0, abs=1e-9)
 
+    def test_flip_boundary_parities(self, capsys):
+        # tau0 + tau1 = 16 is even and tau2 = 5 is odd
+        assert main(["flip-boundary", *SEC4_FLAGS,
+                     "--tau0", "9", "--tau1", "7", "--tau2", "5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sum_parity"] == 0 and payload["tau2_parity"] == 1
+        assert payload["alpha"] == pytest.approx(16.0 / 9.0, abs=1e-9)
+
     def test_ns_curve_csv(self, tmp_path):
         out = tmp_path / "ns.csv"
         assert main(["ns-curve", *SEC4_FLAGS,
@@ -217,6 +225,14 @@ class TestSubcommands:
         assert lines[0] == "delta,alpha_max,feasible"
         assert len(lines) == 7
         assert lines[1].endswith(",true")
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_stability_region_empty_grid_exits_two(self, capsys, steps):
+        code = main(["stability-region", "--n", "4", "--a0", "2", "--a1", "2.5", "--b", "1",
+                     "--delta-min", "0.1", "--delta-max", "0.6", "--delta-steps", steps])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "delta_steps" in out.err and out.out == ""
 
     def test_stability_region_needs_no_point_delta(self, capsys):
         # the sweep grid defines delta; infeasible rows carry nan
@@ -295,6 +311,24 @@ class TestSubcommands:
         out = capsys.readouterr()
         assert "blowup" in out.err and out.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_lyapunov_bad_blowup_exits_two(self, capsys, value):
+        code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.0", "--blowup", value])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "blowup" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--steps", "20"]),
+        ("lyapunov", ["--lyap-iters", "300", "--lyap-transient", "100"]),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_perturbation_exits_two(self, capsys, command, flags, value):
+        code = main([command, *SEC4_FLAGS, "--alpha", "1.0", *flags, "--perturbation", value])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "perturbation" in out.err and out.out == ""
+
     def test_lyapunov_negative_transient_exits_two(self, capsys):
         code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.0",
                      "--tau0", "5", "--tau1", "3", "--tau2", "3",
@@ -332,6 +366,7 @@ class TestSubcommands:
         (["--lyap-transient", "-1"], "lyap_transient"),
         (["--perturbation", "nan"], "perturbation"),
         (["--blowup", "-1"], "blowup"),
+        (["--samples", "1"], "samples"),
     ])
     def test_bad_sweep_spec_exits_two(self, capsys, flags, key):
         # every cell of this sweep escapes, so no cell would reach the
@@ -340,7 +375,8 @@ class TestSubcommands:
                      "--tau2", "10", "--alpha-min", "1.5", "--alpha-max", "1.55",
                      "--alpha-steps", "2", *flags])
         assert code == 2
-        assert key in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert key in out.err and out.out == ""
 
 
 # floats whose formatting is easy to get wrong: both zeros, nan, both

@@ -49,11 +49,6 @@ class TestClassifyAttractor:
         out = classify_attractor(samples)
         assert out.kind is AttractorType.APERIODIC
 
-    def test_divergence_flag(self):
-        out = classify_attractor(np.array([0.1, 0.2]), diverged=True)
-        assert out.kind is AttractorType.DIVERGENT
-        assert out.label == "Divergent"
-
     def test_chaotic_regime_has_no_short_recurrence(self):
         p = sec4_at(1.62)
         d = DelayConfig(5, 3, 3)
@@ -155,6 +150,12 @@ class TestLargestLyapunov:
         with pytest.raises(DivergenceError):
             largest_lyapunov(p, d, default_initial_history(p, d))
 
+    @pytest.mark.parametrize("blowup", [0.0, -5.0, float("nan")])
+    def test_blowup_must_be_positive(self, sec4, blowup):
+        d = DelayConfig(0, 0, 0)
+        with pytest.raises(ValidationError, match="blowup"):
+            largest_lyapunov(sec4, d, default_initial_history(sec4, d), blowup=blowup)
+
     def test_iters_must_exceed_transient(self, sec4):
         d = DelayConfig(0, 0, 0)
         with pytest.raises(ValidationError):
@@ -243,6 +244,8 @@ class TestBifurcationDiagram:
         (dict(lyap_iters=500), "lyap_iters"),
         (dict(perturbation=float("nan")), "perturbation"),
         (dict(perturbation=float("inf")), "perturbation"),
+        (dict(samples=1), "samples"),
+        (dict(transient=0), "transient"),
         (dict(blowup=0.0), "blowup"),
         (dict(blowup=-1.0), "blowup"),
         (dict(blowup=float("nan")), "blowup"),
@@ -332,8 +335,19 @@ class TestFusedDiagramCell:
         assert rows[1].lle == second.lle
 
 
+class TestDefaultInitialHistory:
+    @pytest.mark.parametrize("perturbation", [float("nan"), float("inf"), -float("inf")])
+    def test_perturbation_must_be_finite(self, sec4, perturbation):
+        with pytest.raises(ValidationError, match="perturbation"):
+            default_initial_history(sec4, DelayConfig(1, 0, 2), perturbation)
+
+
 class TestPhasePortrait:
     ORBIT = dict(transient=3000, samples=400)
+
+    def test_one_sample_is_enough(self, sec4):
+        portrait = phase_portrait(sec4_at(1.0), DelayConfig(2, 2, 10), transient=100, samples=1)
+        assert portrait.points.shape == (1, 2)
 
     def test_stable_alpha_gives_a_single_point(self, sec4):
         portrait = phase_portrait(sec4_at(1.0), DelayConfig(2, 2, 10), **self.ORBIT)

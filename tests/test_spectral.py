@@ -7,7 +7,6 @@ import pytest
 from cournotlab import (
     AssumptionError,
     CharPoly,
-    CharPolyKind,
     DelayConfig,
     DelayIndependentVerdict,
     HistoryState,
@@ -34,6 +33,8 @@ from conftest import (
     pair_nonzero_roots,
     sec4_at,
 )
+from cournotlab.errors import DegenerateBoundaryError
+from cournotlab.spectral import flip_gain
 
 
 class TestEpsilonTriple:
@@ -145,8 +146,7 @@ class TestFullCharPoly:
 class TestPolyRoots:
     def test_plus_minus_one(self):
         coeffs = np.array([-1.0, 0.0, 1.0])
-        cp = CharPoly(coeffs=coeffs, kind=CharPolyKind.REDUCED,
-                      delays=DelayConfig(0, 0, 0), factors=((coeffs, 1),))
+        cp = CharPoly(coeffs=coeffs, factors=((coeffs, 1),))
         report = poly_roots(cp)
         assert sorted(report.roots.real) == pytest.approx([-1.0, 1.0], abs=1e-12)
         assert report.classification is StabilityClass.NON_HYPERBOLIC
@@ -214,6 +214,13 @@ class TestOracleEquivalence:
             d = DelayConfig(*(int(x) for x in rng.integers(0, 5, size=3)))
             report = poly_roots(full_char_poly(p, d, "boundary"))
             assert report.classification is StabilityClass.SADDLE
+
+
+class TestFlipGain:
+    def test_vanishing_denominator_is_degenerate(self):
+        # 1 - eps2*s2 + eps0*s = 1 - 0.5 - 0.5
+        with pytest.raises(DegenerateBoundaryError):
+            flip_gain(0.5, 0.5, s=-1, s2=1)
 
 
 class TestDelayFreeStability:
