@@ -240,6 +240,9 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
 
 def _cmd_stability_region(cfg: RunConfig) -> None:
     dmin, dmax = cfg.require("delta_min", "delta_max")
+    for key, value in (("delta_min", dmin), ("delta_max", dmax)):
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"{key} must lie in (0, 1), got {value}")
     steps = cfg.get("delta_steps")
     if steps < 1:
         raise ConfigError(f"delta_steps must be >= 1, got {steps}")
@@ -327,20 +330,9 @@ def _cmd_lyapunov(cfg: RunConfig) -> None:
     d = delays_from_config(cfg)
     init = dynamics.default_initial_history(p, d, cfg.get("perturbation"))
     est = dynamics.largest_lyapunov(
-        p,
-        d,
-        init,
-        iters=cfg.get("lyap_iters"),
-        transient=cfg.get("lyap_transient"),
-        renorm_interval=cfg.get("renorm_interval"),
-        blowup=cfg.get("blowup"),
+        p, d, init, cfg.get("lyap_iters"), cfg.get("lyap_transient"), blowup=cfg.get("blowup"),
     )
-    payload = {
-        "lle": est.lle,
-        "iters": est.iters,
-        "transient": est.transient,
-        "renorm_interval": est.renorm_interval,
-    }
+    payload = {"lle": est.lle, "iters": est.iters, "transient": est.transient}
     _write(cfg, [_json_text(cfg, payload)])
 
 
@@ -396,7 +388,7 @@ COMMANDS = {
         _cmd_lyapunov,
         _keys(
             *MARKET, "alpha", *DELAYS, "perturbation", "blowup",
-            "lyap_iters", "lyap_transient", "renorm_interval",
+            "lyap_iters", "lyap_transient",
         ),
     ),
     "phase-portrait": (_cmd_phase_portrait, _keys(*MARKET, "alpha", *DELAYS, *ORBIT)),

@@ -41,7 +41,6 @@ KEY_SPECS = (
     ("blowup", float),
     ("lyap_iters", int),
     ("lyap_transient", int),
-    ("renorm_interval", int),
     ("workers", int),
     ("out", str),
 )
@@ -67,7 +66,6 @@ DEFAULTS = {
     "blowup": 1.0e6,
     "lyap_iters": 20000,
     "lyap_transient": 1000,
-    "renorm_interval": 1,
     "workers": 1,
 }
 

@@ -85,7 +85,6 @@ class LyapunovEstimate:
     lle: float
     iters: int
     transient: int
-    renorm_interval: int
 
 
 class AttractorType(enum.Enum):
@@ -150,16 +149,16 @@ def largest_lyapunov(
     init: HistoryState,
     iters: int = 20000,
     transient: int = 1000,
-    renorm_interval: int = 1,
+    *,
     blowup: float = DEFAULT_BLOWUP,
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent in nats per iteration.
 
     Propagates one tangent window of the aggregate state through the exact
     linearization along the orbit (only the public-firm row depends on the
-    state), renormalizing every ``renorm_interval`` steps and averaging
-    the logged stretch factors over the ``iters - transient`` measured
-    steps; ``transient`` must lie in ``[0, iters)``.  With n >= 2 the
+    state), renormalizing it every 64 steps and averaging the logged
+    stretch factors over the ``iters - transient`` measured steps;
+    ``transient`` must lie in ``[0, iters)``.  With n >= 2 the
     private deviations from their mean add the rate ln(delta/2)/(tau2 + 1),
     and the larger of the two is returned.
 
@@ -170,24 +169,14 @@ def largest_lyapunov(
         raise ValidationError(
             f"need 0 <= transient < iters, got transient={transient}, iters={iters}"
         )
-    if renorm_interval < 1:
-        raise ValidationError("renorm_interval must be >= 1")
-    run = _iterate(
-        init, p, d, iters, blowup,
-        tangent_iters=iters, transient=transient, renorm_interval=renorm_interval,
-    )
+    run = _iterate(init, p, d, iters, blowup, tangent_iters=iters, transient=transient)
     if run.collapsed_at is not None:
         raise NumericalError("tangent vector collapsed to zero")
     if run.diverged_at is not None:
         raise DivergenceError(
             f"orbit left the blow-up bound at step {run.diverged_at} (|q| > {blowup})"
         )
-    return LyapunovEstimate(
-        lle=_exponent(run, p, d),
-        iters=iters,
-        transient=transient,
-        renorm_interval=renorm_interval,
-    )
+    return LyapunovEstimate(lle=_exponent(run, p, d), iters=iters, transient=transient)
 
 
 def _exponent(run, p: MarketParams, d: DelayConfig) -> float:

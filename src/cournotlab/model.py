@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,6 +51,10 @@ _GAP_CONSISTENCY_TOL = 1.0e-12
 # at most _PERIOD_MAX steps earlier
 _CHECK_EVERY = 64
 _PERIOD_MAX = 64
+
+# the tangent is renormalized every _RENORM_EVERY steps, at the transient
+# and at the last step
+_RENORM_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -379,7 +384,7 @@ class _Tangent:
     schedule of ``_iterate``."""
 
     def __init__(self, p: MarketParams, d: DelayConfig, q: list, mean: list,
-                 onset: Optional[int], iters: int, transient: int, renorm_interval: int):
+                 onset: Optional[int], iters: int, transient: int):
         self.depth = d.tau_max + 1
         self.q, self.mean, self.onset = q, mean, onset
         self.v, self.y = _initial_tangent(self.depth)
@@ -387,7 +392,7 @@ class _Tangent:
         self.acc = 0.0
         self.measured = self.since_renorm = 0
         self.collapsed_at = None
-        self.iters, self.transient, self.renorm_interval = iters, transient, renorm_interval
+        self.iters, self.transient = iters, transient
         n, b, alpha = p.n, p.b, p.alpha
         bd = b * p.delta
         half = 0.5 * p.delta
@@ -421,38 +426,42 @@ class _Tangent:
                 _column(self.mean, depth + lo - 1 - l1, depth + hi - l1, self.onset))
 
     def advance(self, lo: int, hi: int) -> None:
-        """Steps ``lo..hi``, one at a time."""
+        """Steps ``lo..hi`` in blocks that end at multiples of
+        _RENORM_EVERY, at the transient and at the last step, each closed by
+        a renormalization; a block that ``hi`` cuts short stays open for the
+        next call or a jump to close."""
         n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
         v, y, scale, acc = self.v, self.y, self.scale, self.acc
-        measured, since_renorm = self.measured, self.since_renorm
-        iters, transient, renorm_interval = self.iters, self.transient, self.renorm_interval
-        for i, q_now, mean1 in zip(range(lo, hi + 1), *self._orbit(lo, hi)):
-            total1 = n * mean1
-            v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
-            y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
-            del v[0], y[0]
-            if i > transient:
-                since_renorm += 1
-                if since_renorm < renorm_interval and i < iters:
-                    continue
-            elif i < transient and i % 64:
+        depth, iters, transient = self.depth, self.iters, self.transient
+        steps = zip(*self._orbit(lo, hi))
+        at = lo - 1
+        while at < hi:
+            end = min(hi, at - at % _RENORM_EVERY + _RENORM_EVERY, transient if transient > at else hi)
+            for q_now, mean1 in islice(steps, end - at):
+                total1 = n * mean1
+                v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
+                y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
+            del v[:-depth], y[:-depth]
+            if at >= transient:
+                self.since_renorm += end - at
+            at = end
+            if end % _RENORM_EVERY and end != transient and end != iters:
                 continue
             norm = math.hypot(*v, *y)
             stretch = norm / scale
             if stretch < 1.0e-300:
-                self.collapsed_at = i
+                self.collapsed_at = end
                 break
-            if i > transient:
+            if end > transient:
                 acc += math.log(stretch)
-                measured += since_renorm
-                since_renorm = 0
+                self.measured += self.since_renorm
+                self.since_renorm = 0
             scale = norm
             if not 1.0e-6 < norm < 1.0e6:
                 v = [u / norm for u in v]
                 y = [u / norm for u in y]
                 scale = 1.0
         self.v, self.y, self.scale, self.acc = v, y, scale, acc
-        self.measured, self.since_renorm = measured, since_renorm
 
     def period_map(self, at: int, period: int) -> np.ndarray:
         """The matrix M that carries the flat window (v, y) over steps
@@ -518,8 +527,7 @@ class _Tangent:
 
 def _iterate(
     init: HistoryState, p: MarketParams, d: DelayConfig, steps: int, blowup: float,
-    tangent_iters: int = 0, transient: int = 0, renorm_interval: int = 1,
-    arrays: bool = False,
+    tangent_iters: int = 0, transient: int = 0, arrays: bool = False,
 ) -> _Run:
     """The delayed map on the aggregate state (q0, mean private output).
 
@@ -544,20 +552,20 @@ def _iterate(
     Then, over the first ``tangent_iters`` steps, the exact linearization
     carries one tangent window (v, y) = (dq0, sqrt(n) dmean), whose norm is
     the per-firm norm of a symmetric tangent, with coefficients read from
-    the record in the same float expressions.  It is renormalized without
-    logging every 64 steps before step ``transient`` and once at it, then
-    every ``renorm_interval`` steps and at the last one, summing the logged
-    stretches over ``measured`` steps.  A renormalization takes the stretch
-    of the norm since the previous one; the entries are divided by the norm
-    only when it leaves [1e-6, 1e6].  A stretch under 1e-300 stops the
-    tangent (``collapsed_at``) but not the orbit.  Past the periodic onset
-    whole periods are carried at once, as powers of the period map M (the
-    identity pushed through P steps) by repeated squaring with log scales:
-    up to the transient without logging, then with the log of the growth
-    added to the sum, which telescopes to the same quantity in exact
-    arithmetic; a zero M^k times the window is a collapse.  Such a jump
-    moves ``log_stretch`` in its last digits; runs without a periodic
-    onset step the tangent one step at a time, as they always have.
+    the record in the same float expressions.  It is renormalized every 64
+    steps, at step ``transient`` and at the last step, logging the stretches
+    after the transient and summing them over ``measured`` steps; the
+    stretches telescope, so the cadence moves only rounding.  A
+    renormalization takes the stretch of the norm since the previous one;
+    the entries are divided by the norm only when it leaves [1e-6, 1e6].  A
+    stretch under 1e-300 stops the tangent (``collapsed_at``) but not the
+    orbit.  Past the periodic onset whole periods are carried at once, as
+    powers of the period map M (the identity pushed through P steps) by
+    repeated squaring with log scales: up to the transient without logging,
+    then with the log of the growth added to the sum, which telescopes to
+    the same quantity in exact arithmetic; a zero M^k times the window is a
+    collapse.  Such a jump, like the cadence, moves ``log_stretch`` in its
+    last digits only.
 
     The record of q0 and mean is grown as lists of Python floats; with
     ``arrays`` it is returned as float arrays, a quarter of the memory,
@@ -620,7 +628,7 @@ def _iterate(
 
     log_stretch, measured, collapsed_at, tangent = 0.0, 0, None, ([], [])
     if tangent_iters:
-        carried = _Tangent(p, d, q, mean, onset, tangent_iters, transient, renorm_interval)
+        carried = _Tangent(p, d, q, mean, onset, tangent_iters, transient)
         carried.carry(min(tangent_iters, done if diverged_at is None else done - 1), period)
         log_stretch, measured = carried.acc, carried.measured
         collapsed_at, tangent = carried.collapsed_at, (carried.v, carried.y)

@@ -234,6 +234,16 @@ class TestSubcommands:
         out = capsys.readouterr()
         assert "delta_steps" in out.err and out.out == ""
 
+    @pytest.mark.parametrize("key", ["delta_min", "delta_max"])
+    @pytest.mark.parametrize("value", ["0", "1", "nan"])
+    def test_stability_region_bound_outside_unit_interval_exits_two(self, capsys, key, value):
+        bounds = {"delta_min": "0.1", "delta_max": "0.5", key: value}
+        code = main(["stability-region", "--n", "4", "--a0", "2", "--a1", "2.5", "--b", "1",
+                     "--delta-min", bounds["delta_min"], "--delta-max", bounds["delta_max"]])
+        assert code == 2
+        out = capsys.readouterr()
+        assert key in out.err and out.out == ""
+
     def test_stability_region_needs_no_point_delta(self, capsys):
         # the sweep grid defines delta; infeasible rows carry nan
         assert main(["stability-region", "--n", "4", "--b", "1",
@@ -301,6 +311,7 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lle"] < 0.0
+        assert set(payload) == {"config", "lle", "iters", "transient"}
 
     @pytest.mark.parametrize("value", ["-1", "nan"])
     def test_simulate_bad_blowup_exits_two(self, capsys, value):
@@ -337,9 +348,16 @@ class TestSubcommands:
         out = capsys.readouterr()
         assert "transient" in out.err and out.out == ""
 
-    def test_lyapunov_renorm_interval_below_one_exits_two(self, capsys):
-        code = main(["lyapunov", *SEC4_FLAGS, "--alpha", "1.0", "--renorm-interval", "0"])
-        assert code == 2
+    def test_removed_renorm_interval_key_exits_two(self, capsys, tmp_path):
+        # the tangent is renormalized in fixed 64-step blocks: no cadence to set
+        flags = ["lyapunov", *SEC4_FLAGS, "--alpha", "1.0", "--lyap-iters", "300",
+                 "--lyap-transient", "100"]
+        assert main([*flags, "--renorm-interval", "4"]) == 2
+        out = capsys.readouterr()
+        assert "--renorm-interval" in out.err and out.out == ""
+        path = tmp_path / "old.cfg"
+        path.write_text("renorm_interval=1\n")
+        assert main([*flags, "--config", str(path)]) == 2
         out = capsys.readouterr()
         assert "renorm_interval" in out.err and out.out == ""
 
@@ -524,7 +542,6 @@ perturbation=0.01
 blowup=1e6
 lyap_iters=600
 lyap_transient=200
-renorm_interval=1
 workers=1
 out=unused.out
 """
@@ -693,9 +710,12 @@ def _diagram_rows(path):
 
 
 class TestGoldenDiagrams:
-    """Fresh-policy diagrams.  ``<name>_aggregate.csv`` pins the bytes of the
-    aggregate kernel for every worker count; ``<name>`` itself holds the
-    bytes the per-firm integration wrote, and stays as a tolerance oracle."""
+    """Fresh-policy diagrams.  ``<name>_blocked.csv`` pins the bytes of the
+    aggregate kernel, its tangent renormalized in 64-step blocks, for every
+    worker count.  Two older files stay as tolerance oracles: ``<name>``
+    holds the bytes the per-firm integration wrote, and
+    ``<name>_aggregate.csv`` those of the kernel renormalizing every step,
+    which differ only in the last digits of the exponents."""
 
     FLAGS = {
         # the criterion-12 configuration
@@ -723,13 +743,29 @@ class TestGoldenDiagrams:
         out = tmp_path / name
         argv = ["bifurcation-diagram", *self.FLAGS[name], "--workers", workers, "--out", str(out)]
         assert main(argv) == 0
-        assert out.read_bytes() == (GOLDEN / name.replace(".csv", "_aggregate.csv")).read_bytes()
+        assert out.read_bytes() == (GOLDEN / name.replace(".csv", "_blocked.csv")).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_per_step_file_differs_only_in_exponent_rounding(self, name):
+        # the logged stretches telescope: the cadence moves only rounding
+        lines, ref_lines = [(GOLDEN / name.replace(".csv", suffix)).read_text().splitlines()
+                            for suffix in ("_blocked.csv", "_aggregate.csv")]
+        assert len(lines) == len(ref_lines)
+        for line, ref in zip(lines, ref_lines):
+            if line.startswith(("#", "alpha,")):  # the echo and the header
+                assert line == ref
+                continue
+            fields, ref_fields = line.split(","), ref.split(",")
+            assert fields[:3] + fields[4:] == ref_fields[:3] + ref_fields[4:]
+            lle, ref_lle = float(fields[3]), float(ref_fields[3])
+            assert math.isnan(lle) == math.isnan(ref_lle)
+            assert math.isnan(ref_lle) or abs(lle - ref_lle) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(FLAGS))
     def test_per_firm_file_within_tolerance(self, name):
         # same echo and labels, non-chaotic samples within 1e-12 relative,
         # exponents within 0.02
-        old, new = GOLDEN / name, GOLDEN / name.replace(".csv", "_aggregate.csv")
+        old, new = GOLDEN / name, GOLDEN / name.replace(".csv", "_blocked.csv")
         echo = [[l for l in path.read_text().splitlines() if l.startswith("#")]
                 for path in (old, new)]
         assert echo[0] == echo[1]
@@ -743,7 +779,8 @@ class TestGoldenDiagrams:
             assert math.isnan(ref_lle) or abs(lle - ref_lle) <= 0.02
 
     def test_escaping_file_holds_every_kind_of_cell(self):
-        for name in ("n9_escape_diagram.csv", "n9_escape_diagram_aggregate.csv"):
+        for name in ("n9_escape_diagram.csv", "n9_escape_diagram_aggregate.csv",
+                     "n9_escape_diagram_blocked.csv"):
             rows = _diagram_rows(GOLDEN / name)
             cells = {(alpha, str(lle), label) for alpha, _, _, lle, label in rows}
             labels = [label for _, _, label in cells]

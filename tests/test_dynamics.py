@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from cournotlab import (
+    DEFAULT_BLOWUP,
     AttractorType,
     DelayConfig,
     DivergenceError,
@@ -22,6 +24,7 @@ from cournotlab import (
     reduced_char_poly,
     simulate,
 )
+from cournotlab import model
 from cournotlab.dynamics import PERIOD_KMAX, PERIOD_TOL, diagram_cell
 
 from conftest import draw_delay_independent_delays, draw_stable_market, sec4_at
@@ -119,6 +122,37 @@ class TestClassifyAttractorAgainstLoop:
         assert _loop_label(RECURRENCE_CASES[name]) == label
 
 
+class PerStepTangent(model._Tangent):
+    """The tangent renormalized at every step past the transient (and
+    every 64 steps before it): the reference that the 64-step blocks of
+    ``model._Tangent.advance`` telescope to."""
+
+    def advance(self, lo, hi):
+        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
+        for i, q_now, mean1 in zip(range(lo, hi + 1), *self._orbit(lo, hi)):
+            v, y = self.v, self.y
+            v.append((own0 - alpha * (2.0 * b * q_now + bd * (n * mean1))) * v[-1]
+                     - cross * q_now * y[-l1])
+            y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
+            del v[0], y[0]
+            if i > self.transient:
+                self.since_renorm += 1
+            elif i < self.transient and i % 64:
+                continue
+            norm = math.hypot(*v, *y)
+            if norm / self.scale < 1.0e-300:
+                self.collapsed_at = i
+                return
+            if i > self.transient:
+                self.acc += math.log(norm / self.scale)
+                self.measured += self.since_renorm
+                self.since_renorm = 0
+            self.scale = norm
+            if not 1.0e-6 < norm < 1.0e6:
+                self.v, self.y = [u / norm for u in v], [u / norm for u in y]
+                self.scale = 1.0
+
+
 class TestLargestLyapunov:
     def test_sink_rate_matches_dominant_root(self):
         p = sec4_at(1.0)
@@ -135,14 +169,36 @@ class TestLargestLyapunov:
         est = largest_lyapunov(p, d, default_initial_history(p, d))
         assert abs(est.lle) < 0.01
 
-    def test_renormalization_interval_invariance(self):
-        d = DelayConfig(3, 5, 5)
-        for alpha in (1.0, 1.35):
-            p = sec4_at(alpha)
-            init = default_initial_history(p, d)
-            one = largest_lyapunov(p, d, init, iters=6000, transient=1000, renorm_interval=1)
-            two = largest_lyapunov(p, d, init, iters=6000, transient=1000, renorm_interval=2)
-            assert abs(one.lle - two.lle) < 1e-3
+    # (delays, alpha) on sec4: a chaotic orbit, an invariant circle, a sink
+    # whose record repeats at 1413, and one that jumps on a 5-cycle from 445
+    TELESCOPE_CASES = {
+        "chaotic": ((1, 1, 1), 1.48),
+        "invariant_circle": ((3, 5, 5), 1.35),
+        "stable": ((3, 5, 5), 1.0),
+        "jumping": ((0, 1, 0), 1.4),
+    }
+    # transients on and around the block edges, iterations past one block
+    BLOCK_EDGES = [(transient, iters) for iters in (65, 2000, 6001)
+                   for transient in (0, 1, 63, 64, 65, 1000) if transient < iters]
+
+    @pytest.mark.parametrize("transient, iters", BLOCK_EDGES)
+    @pytest.mark.parametrize("case", TELESCOPE_CASES)
+    def test_blocks_telescope_to_per_step_renormalization(self, monkeypatch, case, transient,
+                                                          iters):
+        delays, alpha = self.TELESCOPE_CASES[case]
+        p, d = sec4_at(alpha), DelayConfig(*delays)
+        init = default_initial_history(p, d)
+        kwargs = dict(tangent_iters=iters, transient=transient)
+        run = model._iterate(init, p, d, iters, DEFAULT_BLOWUP, **kwargs)
+        lle = largest_lyapunov(p, d, init, iters, transient).lle
+        monkeypatch.setattr(model, "_Tangent", PerStepTangent)
+        want = model._iterate(init, p, d, iters, DEFAULT_BLOWUP, **kwargs)
+        want_lle = largest_lyapunov(p, d, init, iters, transient).lle
+        if case == "jumping" and iters > 1000:
+            assert run.period == want.period == 5
+        assert run.measured == want.measured == iters - transient
+        assert abs(run.log_stretch / run.measured - want.log_stretch / want.measured) <= 1e-13
+        assert abs(lle - want_lle) <= 1e-13
 
     def test_divergent_orbit_raises(self):
         p = sec4_at(1.65)

@@ -176,8 +176,8 @@ class TestExponents:
     ITERS = 6000
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(stable_orbits(), st.sampled_from([1, 7]), st.sampled_from(["before", "after"]))
-    def test_largest_lyapunov_within_tolerance(self, case, renorm_interval, transient_at):
+    @given(stable_orbits(), st.sampled_from(["before", "after"]))
+    def test_largest_lyapunov_within_tolerance(self, case, transient_at):
         p, d = case
         init = default_initial_history(p, d)
         orbit = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP)
@@ -189,16 +189,15 @@ class TestExponents:
         else:
             transient = start + 5 * orbit.period + 3
             assume(transient < self.ITERS - 2 * orbit.period)
-        kwargs = dict(tangent_iters=self.ITERS, transient=transient,
-                      renorm_interval=renorm_interval)
+        kwargs = dict(tangent_iters=self.ITERS, transient=transient)
         run = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
         with per_step():
             want = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
-            want_lle = largest_lyapunov(p, d, init, self.ITERS, transient, renorm_interval).lle
+            want_lle = largest_lyapunov(p, d, init, self.ITERS, transient).lle
         assert run.period and not want.period
         assert run.measured == want.measured == self.ITERS - transient
         assert close_exponents(rate(run), rate(want))
-        lle = largest_lyapunov(p, d, init, self.ITERS, transient, renorm_interval).lle
+        lle = largest_lyapunov(p, d, init, self.ITERS, transient).lle
         assert close_exponents(lle, want_lle)
 
     # orbits on sec4 that settle on an exact cycle longer than one step,
@@ -206,17 +205,15 @@ class TestExponents:
     CYCLES = [((0, 1, 0), 1.4, 5), ((0, 0, 0), 1.9, 12), ((1, 1, 1), 1.0, 20),
               ((0, 0, 2), 1.8, 24), ((0, 2, 2), 1.5, 28)]
 
-    @pytest.mark.parametrize("renorm_interval", [1, 7])
     @pytest.mark.parametrize("delays, alpha, period", CYCLES)
-    def test_longer_cycles(self, delays, alpha, period, renorm_interval):
+    def test_longer_cycles(self, delays, alpha, period):
         p, d = sec4_at(alpha), DelayConfig(*delays)
         init = default_initial_history(p, d)
         orbit = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP)
         assert orbit.period == period
         start = orbit.onset - (d.tau_max + 1)
         for transient in (start // 2, start + 3 * period + 1):
-            kwargs = dict(tangent_iters=self.ITERS, transient=transient,
-                          renorm_interval=renorm_interval)
+            kwargs = dict(tangent_iters=self.ITERS, transient=transient)
             run = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
             with per_step():
                 want = model._iterate(init, p, d, self.ITERS, DEFAULT_BLOWUP, **kwargs)
