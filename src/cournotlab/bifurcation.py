@@ -31,7 +31,7 @@ from .model import DelayConfig, MarketParams
 # reduced_char_poly is not called here; it stays reachable as
 # bifurcation.reduced_char_poly, where perfbench/spans.py counts the
 # polynomials built inside critical_alpha
-from .spectral import coupling_epsilons, flip_gain, k_factor, reduced_char_poly
+from .spectral import coupling_epsilons, flip_gain, k_factor, reduced_char_poly, reduced_terms
 
 NS_RESIDUAL_TOL = 1.0e-8
 # an eigenvalue of the colleague matrix whose imaginary part is at most
@@ -62,17 +62,6 @@ class BifurcationPoint:
     residual: float
 
 
-def _poly_terms(eps0: float, eps2: float, d: DelayConfig):
-    """The reduced polynomial as five terms, linear in eps1:
-    P = sum((base + eps1 * slope) * lambda**powers), the expanded form of
-    ``spectral.reduced_char_poly``."""
-    tau, tau2 = d.tau_sum, d.tau2
-    base = np.array([eps0, -1.0, 0.0, -eps2, 0.0])
-    slope = np.array([eps0, 0.0, -1.0, 0.0, -eps2])
-    powers = np.array([tau2, tau + tau2 + 2, tau + tau2 + 1, tau + 1, tau])
-    return base, slope, powers
-
-
 def _derivative(coeffs, powers, lam, order: int = 0):
     """The ``order``-th lambda-derivative of sum(coeffs * lam**powers) at
     the scalar ``lam``."""
@@ -85,7 +74,7 @@ def _derivative(coeffs, powers, lam, order: int = 0):
 
 def _residual(eps0: float, eps2: float, d: DelayConfig, theta, eps1):
     """|P(e^{i theta})| at eps1, for floats or arrays of one length."""
-    base, slope, powers = _poly_terms(eps0, eps2, d)
+    base, slope, powers = reduced_terms(eps0, eps2, d)
     terms = np.multiply.outer(eps1, slope) + base
     return np.abs(np.sum(terms * np.exp(1j * np.multiply.outer(theta, powers)), axis=-1))
 
@@ -238,7 +227,7 @@ def _switch(eps0: float, eps2: float, d: DelayConfig, pt: BifurcationPoint) -> i
     Derivatives in eps1 stand for those in alpha, which differ by the
     positive k factor.  0 means the direction could not be decided.
     """
-    base, slope, powers = _poly_terms(eps0, eps2, d)
+    base, slope, powers = reduced_terms(eps0, eps2, d)
     coeffs = base + pt.eps1 * slope
     if pt.kind is BifurcationKind.NEIMARK_SACKER:
         lam = complex(math.cos(pt.theta), math.sin(pt.theta))
@@ -362,8 +351,6 @@ class StabilityRegionRow:
     delta: float
     alpha_max: float
     feasible: bool
-    a1_holds: bool
-    a2_holds: bool
 
 
 def stability_region(p: MarketParams, delta_grid) -> list[StabilityRegionRow]:
@@ -383,13 +370,5 @@ def stability_region(p: MarketParams, delta_grid) -> list[StabilityRegionRow]:
         eps0, eps2 = coupling_epsilons(q)
         feasible = report.a1_holds and report.a2_holds and eps2 < 1.0
         alpha_max = (1.0 + flip_gain(eps0, eps2)) / k_factor(q) if feasible else math.nan
-        rows.append(
-            StabilityRegionRow(
-                delta=delta,
-                alpha_max=alpha_max,
-                feasible=feasible,
-                a1_holds=report.a1_holds,
-                a2_holds=report.a2_holds,
-            )
-        )
+        rows.append(StabilityRegionRow(delta=delta, alpha_max=alpha_max, feasible=feasible))
     return rows

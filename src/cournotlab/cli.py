@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import bifurcation, dynamics, equilibria, spectral
-from .config import KEY_SPECS, RunConfig, parse_config
+from .config import DEFAULTS, KEY_SPECS, RunConfig, parse_config
 from .errors import ConfigError, CournotError, NumericalError
 from .model import DelayConfig, MarketParams, simulate
 
@@ -97,10 +97,6 @@ def _write(cfg: RunConfig, chunks) -> None:
 # parameter assembly
 
 
-# adjustment speed of the market built for a subcommand that does not read alpha
-ALPHA_PLACEHOLDER = 1.0
-
-
 def market_from_config(cfg: RunConfig) -> MarketParams:
     """The market of the configuration.
 
@@ -108,11 +104,11 @@ def market_from_config(cfg: RunConfig) -> MarketParams:
     and bifurcation-diagram do not read alpha: their results do not depend
     on it (the diagram and the crossings set their own, and the
     equilibrium residuals are reported at unit speed).  Their
-    configuration holds no alpha, and their market carries
-    ``ALPHA_PLACEHOLDER``.
+    configuration holds no alpha, and their market carries the default
+    ``DEFAULTS["alpha"]``.
     """
     n, delta, b = cfg.require("n", "delta", "b")
-    alpha = cfg.get("alpha", ALPHA_PLACEHOLDER)
+    alpha = cfg.get("alpha", DEFAULTS["alpha"])
     optional = {key: cfg.get(key) for key in ("a0", "a1", "a", "c0", "c")}
     return MarketParams(b=b, delta=delta, alpha=alpha, n=n, **optional)
 
@@ -207,26 +203,7 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
     p = market_from_config(cfg)
     d = delays_from_config(cfg)
     which = cfg.require("which")
-    if which in ("positive", "reduced"):
-        equilibria.require_assumptions(p)
-        if which == "positive":
-            report = spectral.poly_roots(spectral.full_char_poly(p, d, "positive"))
-        else:
-            report = spectral.poly_roots(
-                spectral.reduced_char_poly(spectral.epsilon_triple(p), d)
-            )
-    elif which == "boundary":
-        # the saddle classification of the shut-down equilibrium is only
-        # meaningful when the public firm has room to grow back
-        equilibria.require_assumptions(p, which=("A.1",))
-        report = spectral.poly_roots(spectral.full_char_poly(p, d, "boundary"))
-    elif which == "no-public-firm":
-        report = spectral.no_public_firm_spectrum(p, d.tau2)
-    else:
-        raise ConfigError(
-            f"unknown spectrum selector '{which}' "
-            "(expected reduced, positive, boundary or no-public-firm)"
-        )
+    report = spectral.poly_roots(spectral.full_char_poly(p, d, which))
     roots = sorted(report.roots, key=lambda z: (-abs(z), z.real, z.imag))
     payload = {
         "which": which,

@@ -10,7 +10,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
+from .dynamics import DEFAULT_PERTURBATION
 from .errors import ConfigError
+from .model import DEFAULT_BLOWUP
 
 # canonical key order: (name, type); emission always follows this order
 KEY_SPECS = (
@@ -62,8 +64,8 @@ DEFAULTS = {
     "transient": 2000,
     "samples": 200,
     "policy": "FreshPerturbed",
-    "perturbation": 1.0e-2,
-    "blowup": 1.0e6,
+    "perturbation": DEFAULT_PERTURBATION,
+    "blowup": DEFAULT_BLOWUP,
     "lyap_iters": 20000,
     "lyap_transient": 1000,
     "workers": 1,

@@ -1,5 +1,13 @@
 """Characteristic polynomials of the linearized map and closed-form stability tests.
 
+This module alone writes out and selects the characteristic polynomials.
+The reduced polynomial of the positive equilibrium is written once, as
+the five terms of ``reduced_terms``, linear in eps1; ``reduced_char_poly``
+adds them at their powers, and the crossing search reads the same terms.
+``full_char_poly`` resolves each selector ("reduced", "positive",
+"boundary", "no-public-firm") to its factors after its one assumption
+check.
+
 Clearing the negative powers of the characteristic equation multiplies it
 by a power of lambda, so every polynomial here may carry exact zero
 low-order coefficients.  The corresponding roots at lambda = 0 are kept:
@@ -125,6 +133,16 @@ def _shifted_monomial_factor(tau2: int, constant: float) -> np.ndarray:
     return c
 
 
+def reduced_terms(eps0: float, eps2: float, d: DelayConfig):
+    """The reduced polynomial as five terms, linear in eps1:
+    P = sum((base + eps1 * slope) * lambda**powers)."""
+    tau, tau2 = d.tau_sum, d.tau2
+    base = np.array([eps0, -1.0, 0.0, -eps2, 0.0])
+    slope = np.array([eps0, 0.0, -1.0, 0.0, -eps2])
+    powers = np.array([tau2, tau + tau2 + 2, tau + tau2 + 1, tau + 1, tau])
+    return base, slope, powers
+
+
 def reduced_char_poly(eps: EpsilonTriple, d: DelayConfig) -> CharPoly:
     """Polynomial governing the interior equilibrium after removing the
     always-stable private difference modes.
@@ -134,55 +152,56 @@ def reduced_char_poly(eps: EpsilonTriple, d: DelayConfig) -> CharPoly:
         eps0*(eps1+1)*lambda^tau2
             - (lambda + eps1) * (lambda^(tau2+1) + eps2) * lambda^(tau0+tau1)
 
-    of degree tau0 + tau1 + tau2 + 2 with leading coefficient -1.
+    of degree tau0 + tau1 + tau2 + 2 with leading coefficient -1: the
+    terms of ``reduced_terms`` added at their powers, in their order.
     """
-    tau = d.tau_sum
-    tau2 = d.tau2
-    deg = tau + tau2 + 2
-    c = np.zeros(deg + 1)
-    c[tau2] += eps.eps0 * (eps.eps1 + 1.0)
-    # -(lambda + eps1)(lambda^(tau2+1) + eps2) * lambda^tau
-    c[tau + tau2 + 2] -= 1.0
-    c[tau + tau2 + 1] -= eps.eps1
-    c[tau + 1] -= eps.eps2
-    c[tau] -= eps.eps1 * eps.eps2
+    base, slope, powers = reduced_terms(eps.eps0, eps.eps2, d)
+    c = np.bincount(powers, weights=base + eps.eps1 * slope)
     return CharPoly(coeffs=c, factors=((c, 1),))
 
 
-def full_char_poly(p: MarketParams, d: DelayConfig, which) -> CharPoly:
-    """Full characteristic polynomial at the requested equilibrium.
+def full_char_poly(p: MarketParams, d: DelayConfig, which: str) -> CharPoly:
+    """The characteristic polynomial that the selector ``which`` names.
 
-    ``which`` is "positive" or "boundary".  The positive case multiplies
-    the reduced polynomial by the private difference-mode factor
-    ``(lambda^(tau2+1) - delta/2)^(n-1)``.  The boundary case factors
-    completely; its unstable linear factor keeps the adjustment-speed term.
+    - "reduced": the reduced polynomial of the positive equilibrium;
+      needs A.1 and A.2.
+    - "positive": the reduced polynomial times the private difference-mode
+      factor ``(lambda^(tau2+1) - delta/2)^(n-1)``; needs A.1 and A.2.
+    - "boundary": the equilibrium with the public firm shut down, which
+      factors completely; its unstable linear factor keeps the
+      adjustment-speed term.  Needs A.1: the saddle classification is
+      only meaningful when the public firm has room to grow back.
+    - "no-public-firm": the market without the public firm, the
+      difference-mode factor times the symmetric factor
+      ``lambda^(tau2+1) + (n-1)*delta/2``; needs n >= 2.
+
+    A failing assumption raises AssumptionError, any other bad input
+    ValidationError.
     """
-    diff_factor = _shifted_monomial_factor(d.tau2, -0.5 * p.delta)
-
-    if which == "positive":
+    diff_factor = (_shifted_monomial_factor(d.tau2, -0.5 * p.delta), p.n - 1)
+    sym_factor = (_shifted_monomial_factor(d.tau2, 0.5 * (p.n - 1) * p.delta), 1)
+    if which in ("reduced", "positive"):
         require_assumptions(p)
         reduced = reduced_char_poly(epsilon_triple(p), d)
-        factors = ((diff_factor, p.n - 1), (reduced.coeffs, 1))
+        if which == "reduced":
+            return reduced
+        factors = (diff_factor, (reduced.coeffs, 1))
     elif which == "boundary":
+        require_assumptions(p, which=("A.1",))
         m_gain = (p.gamma * p.a0 - p.n * p.delta * p.a1) / p.gamma
         linear = np.array([-(1.0 + p.alpha * m_gain), 1.0])
-        sym_factor = _shifted_monomial_factor(d.tau2, 0.5 * (p.n - 1) * p.delta)
-        factors = ((diff_factor, p.n - 1), (linear, 1), (sym_factor, 1))
+        factors = (diff_factor, (linear, 1), sym_factor)
+    elif which == "no-public-firm":
+        if p.n < 2:
+            raise ValidationError(f"no-public-firm analysis needs n >= 2, got n={p.n}")
+        factors = (diff_factor, sym_factor)
     else:
-        raise ValidationError(f"unknown equilibrium selector {which!r}")
+        raise ValidationError(
+            f"unknown spectrum selector '{which}' "
+            "(expected reduced, positive, boundary or no-public-firm)"
+        )
 
     factors = tuple((f, m) for f, m in factors if m > 0)
-    return CharPoly(coeffs=_expand(factors), factors=factors)
-
-
-def no_public_firm_char_poly(p: MarketParams, tau2: int) -> CharPoly:
-    """Characteristic polynomial of the market without the public firm."""
-    if p.n < 2:
-        raise ValidationError(f"no-public-firm analysis needs n >= 2, got n={p.n}")
-    factors = (
-        (_shifted_monomial_factor(tau2, -0.5 * p.delta), p.n - 1),
-        (_shifted_monomial_factor(tau2, 0.5 * (p.n - 1) * p.delta), 1),
-    )
     return CharPoly(coeffs=_expand(factors), factors=factors)
 
 
@@ -201,11 +220,19 @@ class SpectrumReport:
     classification: StabilityClass
 
 
-def classify_roots(roots: np.ndarray) -> SpectrumReport:
-    """The stability verdict of ``roots``: a root counts as on the unit
-    circle when its modulus is within ON_CIRCLE_TOL of 1."""
+def poly_roots(cp: CharPoly) -> SpectrumReport:
+    """All roots of a characteristic polynomial with a stability verdict.
+
+    Each distinct factor goes once through numpy's balanced companion
+    matrix, which reports the exact zero low-order coefficients as roots
+    at the origin; its roots are then repeated by its multiplicity.  A
+    root counts as on the unit circle when its modulus is within
+    ON_CIRCLE_TOL of 1."""
+    if cp.degree < 1:
+        raise ValidationError("need degree >= 1 to compute a spectrum")
+    roots = np.concatenate([np.tile(np.roots(coeffs[::-1]), mult) for coeffs, mult in cp.factors])
     moduli = np.abs(roots)
-    max_modulus = float(moduli.max()) if moduli.size else 0.0
+    max_modulus = float(moduli.max())
     on_circle = int(np.count_nonzero(np.abs(moduli - 1.0) < ON_CIRCLE_TOL))
     if max_modulus < 1.0 - ON_CIRCLE_TOL:
         cls = StabilityClass.ASYMPTOTICALLY_STABLE
@@ -223,21 +250,9 @@ def classify_roots(roots: np.ndarray) -> SpectrumReport:
     )
 
 
-def poly_roots(cp: CharPoly) -> SpectrumReport:
-    """All roots of a characteristic polynomial with a stability verdict.
-
-    Each distinct factor goes once through numpy's balanced companion
-    matrix, which reports the exact zero low-order coefficients as roots
-    at the origin; its roots are then repeated by its multiplicity."""
-    if cp.degree < 1:
-        raise ValidationError("need degree >= 1 to compute a spectrum")
-    roots = np.concatenate([np.tile(np.roots(coeffs[::-1]), mult) for coeffs, mult in cp.factors])
-    return classify_roots(roots)
-
-
 def no_public_firm_spectrum(p: MarketParams, tau2: int) -> SpectrumReport:
     """Spectrum of the reduced market; stable iff (n-1)*delta/2 < 1."""
-    return poly_roots(no_public_firm_char_poly(p, tau2))
+    return poly_roots(full_char_poly(p, DelayConfig(tau2=tau2), "no-public-firm"))
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,19 @@ class TestSubcommands:
         assert main(["spectrum", "--which", "interior", *SEC4_FLAGS]) == 2
         assert "interior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which, market, cause", [
+        ("interior", SEC4_FLAGS, "unknown spectrum selector 'interior'"),
+        ("boundary", ["--n", "4", "--delta", "0.4", "--a0", "1", "--a1", "2.5"], "A.1 fail"),
+        ("positive", ["--n", "2", "--delta", "0.5", "--a0", "2", "--a1", "0.5"], "A.2 fail"),
+        ("reduced", ["--n", "2", "--delta", "0.5", "--a0", "2", "--a1", "0.5"], "A.2 fail"),
+        ("no-public-firm", ["--n", "1", "--delta", "0.5", "--a0", "1", "--a1", "1"], "n >= 2"),
+    ])
+    def test_rejected_spectrum_exits_two_naming_its_cause(self, capsys, which, market, cause):
+        assert main(["spectrum", "--which", which, *market, "--tau2", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and cause in err
+
     def test_spectrum_json_schema(self, capsys):
         assert main(["spectrum", "--which", "boundary", *SEC4_FLAGS]) == 0
         payload = json.loads(capsys.readouterr().out)

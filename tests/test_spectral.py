@@ -33,6 +33,7 @@ from conftest import (
     pair_nonzero_roots,
     sec4_at,
 )
+from cournotlab.equilibria import require_assumptions
 from cournotlab.errors import DegenerateBoundaryError
 from cournotlab.spectral import flip_gain
 
@@ -139,7 +140,7 @@ class TestFullCharPoly:
         assert cp.coeffs == pytest.approx(product, abs=1e-12)
 
     def test_unknown_selector_rejected(self, sec4):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown spectrum selector 'interior'"):
             full_char_poly(sec4, DelayConfig(0, 0, 0), "interior")
 
 
@@ -334,3 +335,147 @@ class TestNoPublicFirm:
         p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=1, a0=1.0, a1=1.0)
         with pytest.raises(ValidationError):
             no_public_firm_spectrum(p, 0)
+
+
+# ---------------------------------------------------------------------------
+# the selectors of full_char_poly against the builders they replaced
+
+
+def old_reduced_char_poly(eps, d):
+    """The dense expansion of the reduced polynomial that the five-term
+    scatter of ``reduced_char_poly`` replaced."""
+    tau, tau2 = d.tau_sum, d.tau2
+    c = np.zeros(tau + tau2 + 3)
+    c[tau2] += eps.eps0 * (eps.eps1 + 1.0)
+    c[tau + tau2 + 2] -= 1.0
+    c[tau + tau2 + 1] -= eps.eps1
+    c[tau + 1] -= eps.eps2
+    c[tau] -= eps.eps1 * eps.eps2
+    return CharPoly(coeffs=c, factors=((c, 1),))
+
+
+def shifted_monomial(tau2, constant):
+    c = np.zeros(tau2 + 2)
+    c[0], c[-1] = constant, 1.0
+    return c
+
+
+def old_factors(factors):
+    factors = tuple((f, m) for f, m in factors if m > 0)
+    product = np.array([1.0])
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            product = np.convolve(product, coeffs)
+    return CharPoly(coeffs=product, factors=factors)
+
+
+def old_no_public_firm_char_poly(p, tau2):
+    if p.n < 2:
+        raise ValidationError(f"no-public-firm analysis needs n >= 2, got n={p.n}")
+    return old_factors((
+        (shifted_monomial(tau2, -0.5 * p.delta), p.n - 1),
+        (shifted_monomial(tau2, 0.5 * (p.n - 1) * p.delta), 1),
+    ))
+
+
+def old_spectrum_poly(p, d, which):
+    """The CLI's four-way switch of the spectrum subcommand on the old
+    builders: the polynomial each selector named, after its checks."""
+    diff = (shifted_monomial(d.tau2, -0.5 * p.delta), p.n - 1)
+    if which in ("positive", "reduced"):
+        require_assumptions(p)
+        reduced = old_reduced_char_poly(epsilon_triple(p), d)
+        if which == "reduced":
+            return reduced
+        return old_factors((diff, (reduced.coeffs, 1)))
+    if which == "boundary":
+        require_assumptions(p, which=("A.1",))
+        m_gain = (p.gamma * p.a0 - p.n * p.delta * p.a1) / p.gamma
+        linear = np.array([-(1.0 + p.alpha * m_gain), 1.0])
+        sym = shifted_monomial(d.tau2, 0.5 * (p.n - 1) * p.delta)
+        return old_factors((diff, (linear, 1), (sym, 1)))
+    if which == "no-public-firm":
+        return old_no_public_firm_char_poly(p, d.tau2)
+    raise ValidationError(f"unknown spectrum selector '{which}'")
+
+
+SELECTORS = ("reduced", "positive", "boundary", "no-public-firm")
+
+
+def assert_reduced_factor(new, old, p, d):
+    """Equal bit for bit but at lambda^tau2, where eps0*(eps1 + 1) becomes
+    eps0 + eps1*eps0.  Each form rounds twice, so each lies within about
+    2**-52 * eps0 * (1 + |eps1|) of the exact product; the bound allows
+    twice their sum.  A relative bound would fail near eps1 = -1."""
+    eps = epsilon_triple(p)
+    tau2 = d.tau2
+    others = np.arange(new.size) != tau2
+    assert new.size == old.size
+    assert np.array_equal(new[others], old[others])
+    assert abs(new[tau2] - old[tau2]) <= 4 * 2.0**-52 * eps.eps0 * (1.0 + abs(eps.eps1))
+
+
+class TestSelectorsAgainstOldBuilders:
+    def test_factors_equal_the_old_ones(self):
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            p = draw_market(rng, n_max=6, alpha_range=(0.01, 2.5))
+            d = DelayConfig(*(int(x) for x in rng.integers(0, 13, size=3)))
+            for which in SELECTORS:
+                if which == "no-public-firm" and p.n < 2:
+                    continue
+                new, old = full_char_poly(p, d, which), old_spectrum_poly(p, d, which)
+                assert [m for _, m in new.factors] == [m for _, m in old.factors]
+                pairs = [(fn, fo) for (fn, _), (fo, _) in zip(new.factors, old.factors)]
+                if which in ("reduced", "positive"):
+                    # the reduced polynomial is the last factor
+                    assert_reduced_factor(*pairs.pop(), p, d)
+                for fn, fo in pairs:
+                    assert np.array_equal(fn, fo)
+                if which in ("boundary", "no-public-firm"):
+                    assert np.array_equal(new.coeffs, old.coeffs)
+
+    def test_reduced_near_eps1_minus_one(self):
+        # eps1 + 1 = alpha * k_factor is small: the two forms round most apart
+        d = DelayConfig(2, 3, 4)
+        for alpha in (1e-9, 1e-6, 1e-3, 0.01):
+            p = sec4_at(alpha)
+            new, old = full_char_poly(p, d, "reduced"), old_spectrum_poly(p, d, "reduced")
+            assert_reduced_factor(new.coeffs, old.coeffs, p, d)
+
+    def test_reduced_matches_the_dense_expansion_at_coincident_powers(self, sec4):
+        # tau2 = tau0 + tau1 and tau2 = tau0 + tau1 + 1 put two terms on one
+        # power; tau2 = 0 puts lambda^(tau+1) on lambda^(tau+tau2+1)
+        for d in (DelayConfig(0, 0, 0), DelayConfig(1, 1, 2), DelayConfig(1, 1, 3),
+                  DelayConfig(2, 1, 0)):
+            eps = epsilon_triple(sec4)
+            assert_reduced_factor(reduced_char_poly(eps, d).coeffs,
+                                  old_reduced_char_poly(eps, d).coeffs, sec4, d)
+
+
+# A.1 fails: 3.2 * 1 < 4 * 0.4 * 2.5; A.2 fails (A.1 holds): 0.5 < 0.5 * 2
+A1_FAILS = MarketParams(b=1.0, delta=0.4, alpha=1.0, n=4, a0=1.0, a1=2.5)
+A2_FAILS = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=2, a0=2.0, a1=0.5)
+
+
+class TestSelectorChecks:
+    def test_boundary_needs_the_first_assumption(self):
+        with pytest.raises(AssumptionError) as info:
+            full_char_poly(A1_FAILS, DelayConfig(1, 0, 2), "boundary")
+        assert info.value.failed == ("A.1",)
+
+    @pytest.mark.parametrize("which", ["positive", "reduced"])
+    def test_positive_and_reduced_need_the_second_assumption(self, which):
+        with pytest.raises(AssumptionError) as info:
+            full_char_poly(A2_FAILS, DelayConfig(1, 0, 2), which)
+        assert info.value.failed == ("A.2",)
+
+    def test_boundary_does_not_need_the_second_assumption(self):
+        cp = full_char_poly(A2_FAILS, DelayConfig(1, 0, 2), "boundary")
+        # (lambda^3 - 1/4), the linear factor and (lambda^3 + 1/4)
+        assert cp.degree == 7
+
+    def test_no_public_firm_needs_two_firms(self):
+        p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=1, a0=1.0, a1=1.0)
+        with pytest.raises(ValidationError, match="n >= 2"):
+            full_char_poly(p, DelayConfig(0, 0, 3), "no-public-firm")
