@@ -310,8 +310,8 @@ def critical_alpha(
     crossing count of ``unstable_count`` reads N(alpha_lo) = 0.  The first
     loss is then the smallest candidate of ``flip_boundary`` and
     ``ns_boundary`` in ``(alpha_lo, alpha_hi]``, returned as it is, once
-    its residual on the five-term closed form of the reduced polynomial is
-    at most NS_RESIDUAL_TOL and it moves roots out of the unit circle.  No
+    the residual that either function stored in it is at most
+    NS_RESIDUAL_TOL and it moves roots out of the unit circle.  No
     root is extracted.  Raises NotStableAtStartError, NoCrossingError when
     no candidate lies in the bracket, and NumericalError when the
     certificate or the count fails.
@@ -334,12 +334,11 @@ def critical_alpha(
             f"no modulus-1 crossing of the reduced polynomial in alpha bracket {alpha_range}"
         )
     first = min(inside, key=lambda pt: pt.alpha_crit)
-    residual = float(_residual(eps0, eps2, d, first.theta, first.eps1))
     switch = _switch(eps0, eps2, d, first)
-    if not (residual <= NS_RESIDUAL_TOL and switch > 0):
+    if not (first.residual <= NS_RESIDUAL_TOL and switch > 0):
         raise NumericalError(
             f"crossing at alpha = {first.alpha_crit} fails its certificate: residual "
-            f"{residual} and {switch:+d} roots leaving the unit circle"
+            f"{first.residual} and {switch:+d} roots leaving the unit circle"
         )
     return first
 

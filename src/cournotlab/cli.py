@@ -87,8 +87,11 @@ def _write(cfg: RunConfig, chunks) -> None:
     """Write the text pieces ``chunks`` to the ``out`` file, else to stdout."""
     out = cfg.get("out")
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write key 'out' file {out}: {exc}")
     else:
         sys.stdout.writelines(chunks)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .dynamics import DEFAULT_PERTURBATION
+from .dynamics import SweepSpec
 from .errors import ConfigError
-from .model import DEFAULT_BLOWUP
 
 # canonical key order: (name, type); emission always follows this order
 KEY_SPECS = (
@@ -61,13 +60,13 @@ DEFAULTS = {
     "tau2": 0,
     "alpha_steps": 101,
     "delta_steps": 99,
-    "transient": 2000,
-    "samples": 200,
-    "policy": "FreshPerturbed",
-    "perturbation": DEFAULT_PERTURBATION,
-    "blowup": DEFAULT_BLOWUP,
-    "lyap_iters": 20000,
-    "lyap_transient": 1000,
+    "transient": SweepSpec.transient,
+    "samples": SweepSpec.samples,
+    "policy": SweepSpec.policy.value,
+    "perturbation": SweepSpec.perturbation,
+    "blowup": SweepSpec.blowup,
+    "lyap_iters": SweepSpec.lyap_iters,
+    "lyap_transient": SweepSpec.lyap_transient,
     "workers": 1,
 }
 

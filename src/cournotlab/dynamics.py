@@ -147,8 +147,8 @@ def largest_lyapunov(
     p: MarketParams,
     d: DelayConfig,
     init: HistoryState,
-    iters: int = 20000,
-    transient: int = 1000,
+    iters: int = SweepSpec.lyap_iters,
+    transient: int = SweepSpec.lyap_transient,
     *,
     blowup: float = DEFAULT_BLOWUP,
 ) -> LyapunovEstimate:
@@ -259,15 +259,14 @@ class PhasePortrait:
     """Post-transient (q0, q1) orbit projection."""
 
     points: np.ndarray
-    alpha: float
     diverged: bool
 
 
 def phase_portrait(
     p: MarketParams,
     d: DelayConfig,
-    transient: int = 2000,
-    samples: int = 200,
+    transient: int = SweepSpec.transient,
+    samples: int = SweepSpec.samples,
     perturbation: float = DEFAULT_PERTURBATION,
     blowup: float = DEFAULT_BLOWUP,
 ) -> PhasePortrait:
@@ -279,4 +278,4 @@ def phase_portrait(
     traj = simulate(p, d, init, transient + samples, blowup=blowup)
     # skip row 0, the start; a bounded orbit's samples never reach it
     pts = traj.outputs[1:, :2][-samples:]
-    return PhasePortrait(points=pts.copy(), alpha=p.alpha, diverged=traj.diverged)
+    return PhasePortrait(points=pts.copy(), diverged=traj.diverged)

@@ -129,10 +129,6 @@ class MarketParams:
         return self.n + 1
 
     @property
-    def has_primitives(self) -> bool:
-        return self.a is not None
-
-    @property
     def gamma(self) -> float:
         """The recurring denominator 2 + (n-1)*delta of the best responses."""
         return 2.0 + (self.n - 1) * self.delta
@@ -248,9 +244,11 @@ class _Run(NamedTuple):
     reads entries ``lo:hi`` either way.  ``spread`` is None when the
     private outputs of the start agree; otherwise it holds the deviations
     from the mean of the last tau2 + 1 window rows, and per new step the
-    factor and the row they are carried over from.  ``tangent`` is the
-    last tangent window (v, y), oldest first, as carried: divided by its
-    norm when that left [1e-6, 1e6] or after a jump over whole periods.
+    factor and the row they are carried over from.  A record cut at
+    ``diverged_at`` keeps a cycle only when the loop found it before that
+    step.  ``tangent`` is the last tangent window (v, y), oldest first, as
+    carried: divided by its norm when that left [1e-6, 1e6] or after a
+    jump over whole periods.
     """
 
     window: np.ndarray
@@ -540,14 +538,17 @@ def _iterate(
     mean + deviation) is not finite or exceeds ``blowup`` in absolute
     value; that state is kept.  ``blowup`` must be positive.
 
-    The orbit is integrated first.  Every 64 steps it looks for a bitwise
-    periodic onset: a window of the last tau_max + 1 entries of q0 and
-    mean equal, bit for bit (signed zeros by sign), to the one P <= 64
-    steps earlier.  The map is deterministic in its window, so the rest
-    of the record is that cycle repeated, and ``_Run`` keeps it implicit
-    (``onset``, ``period``).  From a start whose private outputs disagree,
-    every state of the repeated rest is still checked against the bound.
-    The record is thus exactly the one step-by-step iteration gives.
+    The orbit is integrated first, each step bounding q0 and mean.  Every
+    64 steps it looks for a bitwise periodic onset: a window of the last
+    tau_max + 1 entries of q0 and mean equal, bit for bit (signed zeros by
+    sign), to the one P <= 64 steps earlier.  The map is deterministic in
+    its window, so the rest of the record is that cycle repeated, and
+    ``_Run`` keeps it implicit (``onset``, ``period``).  The deviations
+    never enter the aggregate, so one pass after the loop bounds the
+    private outputs of every new step, the repeated rest included.  The
+    record is the one step-by-step iteration gives, save that a mean out
+    of the bound cuts the run even where rounding kept every private
+    output of its step inside.
 
     Then, over the first ``tangent_iters`` steps, the exact linearization
     carries one tangent window (v, y) = (dq0, sqrt(n) dmean), whose norm is
@@ -585,12 +586,6 @@ def _iterate(
     bound = min(blowup, sys.float_info.max)
 
     q, mean, spread = _split(init.window, d, steps, half)
-    if spread is not None:
-        dev, factor, rows = spread
-        tops = factor * dev.max(axis=1)[rows]
-        bottoms = factor * dev.min(axis=1)[rows]
-        top_list, bottom_list = tops.tolist(), bottoms.tolist()
-
     diverged_at = None
     period = 0
     for start in range(0, steps, _CHECK_EVERY):
@@ -601,12 +596,7 @@ def _iterate(
             mean_new = base - half * q[-l0] - half * (others * mean[-l2])
             q.append(q_new)
             mean.append(mean_new)
-            if spread is None:
-                bounded = abs(q_new) <= bound and abs(mean_new) <= bound
-            else:
-                bounded = (abs(q_new) <= bound and abs(mean_new + top_list[i - 1]) <= bound
-                           and abs(mean_new + bottom_list[i - 1]) <= bound)
-            if not bounded:
+            if not (abs(q_new) <= bound and abs(mean_new) <= bound):
                 diverged_at = i
                 break
         if diverged_at is not None:
@@ -616,15 +606,17 @@ def _iterate(
             if period:
                 break
     onset = len(q) - period if period else None
-    if period and spread is not None:
-        # the aggregate repeats, but the deviations still decay: bound
-        # every per-firm state of the repeated rest as the step would
-        rest = np.arange(i + 1, steps + 1)
-        later = _column(mean, depth + i, depth + steps, onset)
-        inside = (np.abs(later + tops[rest - 1]) <= bound) & (np.abs(later + bottoms[rest - 1]) <= bound)
-        if not inside.all():
-            diverged_at = int(rest[inside.argmin()])
     done = steps if diverged_at is None else diverged_at
+    if spread is not None:
+        dev, factor, rows = spread
+        later = np.asarray(_column(mean, depth, depth + done, onset))
+        inside = ((np.abs(later + factor[:done] * dev.max(axis=1)[rows[:done]]) <= bound)
+                  & (np.abs(later + factor[:done] * dev.min(axis=1)[rows[:done]]) <= bound))
+        if not inside.all():
+            diverged_at = done = int(inside.argmin()) + 1
+            if done <= len(q) - depth:  # at or before the step that found the cycle
+                onset, period = None, 0
+                del q[depth + done :], mean[depth + done :]
 
     log_stretch, measured, collapsed_at, tangent = 0.0, 0, None, ([], [])
     if tangent_iters:
@@ -753,7 +745,7 @@ def economic_report(q, p: MarketParams) -> EconomicReport:
     gross utility minus consumer expenditure plus total profits, which
     collapses to utility minus production costs.
     """
-    if not p.has_primitives:
+    if p.a is None:
         raise ValidationError(
             "economic_report needs primitive parameters (a, c0, c), not only intercept gaps"
         )

@@ -128,6 +128,15 @@ class TestSubcommands:
         assert payload["q_star"] == pytest.approx(0.78125, abs=1e-12)
         assert payload["assumptions"]["a1_holds"] is True
 
+    @pytest.mark.parametrize("argv", [["equilibria"], ["simulate", "--steps", "10"]])
+    def test_unwritable_out_exits_two_naming_the_key(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.out"
+        assert main([*argv, *SEC4_FLAGS, "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "'out'" in err and str(path) in err
+        assert not path.parent.exists()
+
     def test_boundary_spectrum_requires_first_assumption(self, capsys):
         code = main(["spectrum", "--which", "boundary", "--n", "4", "--delta", "0.4",
                      "--a0", "1", "--a1", "2.5", "--b", "1"])
