@@ -358,12 +358,11 @@ def stability_region(p: MarketParams, delta_grid) -> list[StabilityRegionRow]:
     For each delta the boundary is ``(1 + flip_gain(eps0, eps2)) /
     k_factor``, the zero-delay stability limit of eps1 converted to alpha;
     rows where eps2 >= 1 or a positivity assumption fails carry
-    alpha_max = nan and a false feasibility flag.
+    alpha_max = nan and a false feasibility flag.  A delta outside (0, 1)
+    raises the ValidationError of ``MarketParams``.
     """
     rows = []
     for delta in np.asarray(delta_grid, dtype=float).tolist():
-        if not 0.0 < delta < 1.0:
-            raise ValidationError(f"delta grid value {delta} outside (0, 1)")
         q = dataclasses.replace(p, delta=delta)
         report = check_assumptions(q)
         eps0, eps2 = coupling_epsilons(q)

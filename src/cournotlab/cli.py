@@ -23,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -148,15 +147,22 @@ def sweep_from_config(cfg: RunConfig) -> dynamics.SweepSpec:
 
 
 def run_cells(fn, alphas, workers: int) -> list:
-    """Split the alpha grid into contiguous chunks, one per process,
-    and join the rows ``fn`` gives for each chunk in grid order.
+    """Hand cell i of the alpha grid to process i mod size and put the rows
+    ``fn`` gives back in grid order: the costly cells past a crossing are
+    spread over every process, not left to the last contiguous chunk.
 
     The pool starts all its processes at once, so it is no larger than
     the cell count or the number of CPUs.
     """
+    # imported here: only a fresh diagram with workers > 1 starts a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     size = min(workers, len(alphas), os.cpu_count() or 1)
+    rows = [None] * len(alphas)
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return [row for rows in pool.map(fn, np.array_split(alphas, size)) for row in rows]
+        for k, chunk in enumerate(pool.map(fn, [alphas[k::size] for k in range(size)])):
+            rows[k::size] = chunk
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +245,21 @@ def _cmd_stability_region(cfg: RunConfig) -> None:
     _write(cfg, _csv_chunks(cfg, columns, table))
 
 
-def _cmd_flip_boundary(cfg: RunConfig) -> None:
-    p = market_from_config(cfg)
-    d = delays_from_config(cfg)
-    bp = bifurcation.flip_boundary(p, d)
-    payload = {
+def _crossing_payload(bp: bifurcation.BifurcationPoint) -> dict:
+    return {
         "kind": bp.kind.value,
         "alpha": bp.alpha_crit,
         "theta": bp.theta,
         "eps1": bp.eps1,
         "residual": bp.residual,
-        "sum_parity": d.tau_sum % 2,
-        "tau2_parity": d.tau2 % 2,
     }
+
+
+def _cmd_flip_boundary(cfg: RunConfig) -> None:
+    p = market_from_config(cfg)
+    d = delays_from_config(cfg)
+    payload = _crossing_payload(bifurcation.flip_boundary(p, d))
+    payload.update(sum_parity=d.tau_sum % 2, tau2_parity=d.tau2 % 2)
     _write(cfg, [_json_text(cfg, payload)])
 
 
@@ -269,14 +277,7 @@ def _cmd_critical_alpha(cfg: RunConfig) -> None:
     d = delays_from_config(cfg)
     alpha_min, alpha_max = cfg.require("alpha_min", "alpha_max")
     bp = bifurcation.critical_alpha(p, d, (alpha_min, alpha_max))
-    payload = {
-        "kind": bp.kind.value,
-        "alpha": bp.alpha_crit,
-        "theta": bp.theta,
-        "eps1": bp.eps1,
-        "residual": bp.residual,
-    }
-    _write(cfg, [_json_text(cfg, payload)])
+    _write(cfg, [_json_text(cfg, _crossing_payload(bp))])
 
 
 def _cmd_bifurcation_diagram(cfg: RunConfig) -> None:

@@ -117,13 +117,13 @@ def default_initial_history(
     return HistoryState.constant(point, d.tau_max + 1)
 
 
-def classify_attractor(samples, k_max: int = PERIOD_KMAX) -> AttractorSummary:
+def classify_attractor(samples) -> AttractorSummary:
     """Type a sampled scalar orbit by minimal-lag recurrence.
 
-    A period k is accepted only if the samples recur within PERIOD_TOL
-    at lag k and at no smaller lag; a lag-1 recurrence that is not an
-    outright fixed point indicates unfinished transient drift and is
-    reported as aperiodic.
+    A period k <= PERIOD_KMAX is accepted only if the samples recur
+    within PERIOD_TOL at lag k and at no smaller lag; a lag-1 recurrence
+    that is not an outright fixed point indicates unfinished transient
+    drift and is reported as aperiodic.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
@@ -131,7 +131,7 @@ def classify_attractor(samples, k_max: int = PERIOD_KMAX) -> AttractorSummary:
     if samples.max() - samples.min() <= PERIOD_TOL:
         return AttractorSummary(AttractorType.FIXED_POINT, None)
     size = samples.size
-    lags = np.arange(1, min(k_max, size - 1) + 1)
+    lags = np.arange(1, min(PERIOD_KMAX, size - 1) + 1)
     # row k - 1 compares s[j + k] with s[j]; the indices past the end of
     # the orbit (j + k >= size) are clipped, then masked out of the maximum
     later = lags[:, None] + np.arange(size)

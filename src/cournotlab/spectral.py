@@ -281,23 +281,3 @@ def delay_free_stable(eps: EpsilonTriple) -> DelayFreeReport:
         eps1_margin=eps1_margin,
     )
 
-
-class DelayIndependentVerdict(enum.Enum):
-    APPLICABLE_STABLE = "Applicable+Stable"
-    APPLICABLE_UNKNOWN = "Applicable+Unknown"
-    NOT_APPLICABLE = "NotApplicable"
-
-
-def delay_independent_verdict(eps: EpsilonTriple, d: DelayConfig) -> DelayIndependentVerdict:
-    """Sufficient delay-independent stability test.
-
-    Applies only when tau2 = 0 or tau0 + tau1 = tau2; in those delay
-    patterns the zero-delay region is delay-independent.  The test is
-    sufficient only, so a failing margin yields Unknown rather than
-    Unstable.
-    """
-    if not (d.tau2 == 0 or d.tau_sum == d.tau2):
-        return DelayIndependentVerdict.NOT_APPLICABLE
-    if delay_free_stable(eps).stable:
-        return DelayIndependentVerdict.APPLICABLE_STABLE
-    return DelayIndependentVerdict.APPLICABLE_UNKNOWN

@@ -533,6 +533,23 @@ class TestStabilityRegion:
             return max(feasible) if feasible else 0.0
         assert top(32) < top(8) < top(2)
 
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"n": 9, "b": 1.3},
+        {"n": 2, "b": 0.7, "a0": 1.5, "a1": 3.0},
+        {"n": 6, "a0": 3.0, "a1": 1.0},
+    ])
+    def test_boundary_is_the_first_crossing(self, sec4, changes):
+        # with no delays the first loss of stability, found by the crossing
+        # count, is the flip at alpha_max itself
+        p = dataclasses.replace(sec4, **changes)
+        rows = [r for r in stability_region(p, np.linspace(0.01, 0.99, 99)) if r.feasible]
+        assert rows
+        for row in rows:
+            q = dataclasses.replace(p, delta=row.delta)
+            assert row.alpha_max == flip_boundary(q, DelayConfig()).alpha_crit
+            assert row.alpha_max == critical_alpha(q, DelayConfig(), (1e-9, 1e3)).alpha_crit
+
     def test_grid_outside_unit_interval_rejected(self, sec4):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="delta"):
             stability_region(sec4, [1.2])

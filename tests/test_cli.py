@@ -1,8 +1,12 @@
 import argparse
+import concurrent.futures
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -711,7 +715,7 @@ class TestWorkers:
         (2, 64, 2),
     ])
     def test_pool_size_is_bounded(self, monkeypatch, tmp_path, workers, cpus, size):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(FakePool, "sizes", [])
         serial, pooled = tmp_path / "w1.csv", tmp_path / "wn.csv"
@@ -719,6 +723,29 @@ class TestWorkers:
         assert main([*self.FLAGS, "--workers", str(workers), "--out", str(pooled)]) == 0
         assert FakePool.sizes == [size]
         assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_cells_are_strided_over_the_workers(self, monkeypatch):
+        # cell i goes to worker i mod size, so the costly cells past a
+        # crossing are shared out, and the rows come back in grid order
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        handed = []
+
+        def negate(cells):
+            handed.append(cells.tolist())
+            return [-a for a in cells.tolist()]
+
+        assert cli.run_cells(negate, np.arange(7.0), 3) == [-a for a in range(7)]
+        assert handed == [[0, 3, 6], [1, 4], [2, 5]]
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's module is imported by run_cells, not by every CLI start
+        code = "import sys, cournotlab.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data"

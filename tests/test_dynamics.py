@@ -24,7 +24,7 @@ from cournotlab import (
     reduced_char_poly,
     simulate,
 )
-from cournotlab import model
+from cournotlab import dynamics, model
 from cournotlab.dynamics import PERIOD_KMAX, PERIOD_TOL, diagram_cell
 
 from conftest import draw_delay_independent_delays, draw_stable_market, sec4_at
@@ -103,9 +103,10 @@ RECURRENCE_CASES = {
 class TestClassifyAttractorAgainstLoop:
     @pytest.mark.parametrize("name", RECURRENCE_CASES)
     @pytest.mark.parametrize("k_max", [PERIOD_KMAX, 5, 1, 0, -3])
-    def test_labels_match_the_lag_loop(self, name, k_max):
+    def test_labels_match_the_lag_loop(self, monkeypatch, name, k_max):
         samples = RECURRENCE_CASES[name]
-        out = classify_attractor(samples, k_max=k_max)
+        monkeypatch.setattr(dynamics, "PERIOD_KMAX", k_max)
+        out = classify_attractor(samples)
         assert out.label == _loop_label(samples, k_max=k_max)
 
     @pytest.mark.parametrize("name, label", [

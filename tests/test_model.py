@@ -12,12 +12,12 @@ from cournotlab import (
     boundary_equilibrium,
     economic_report,
     embedded_jacobian,
-    jacobian_blocks,
     positive_equilibrium,
     simulate,
     step,
 )
 from cournotlab import model
+from cournotlab.model import jacobian_blocks
 
 from conftest import SEC4, draw_market, sec4_at
 

@@ -8,14 +8,14 @@ from cournotlab import (
     AssumptionError,
     CharPoly,
     DelayConfig,
-    DelayIndependentVerdict,
     HistoryState,
     MarketParams,
+    NoCrossingError,
     StabilityClass,
     ValidationError,
     boundary_equilibrium,
+    critical_alpha,
     delay_free_stable,
-    delay_independent_verdict,
     embedded_jacobian,
     epsilon_triple,
     full_char_poly,
@@ -24,6 +24,7 @@ from cournotlab import (
     poly_roots,
     positive_equilibrium,
     reduced_char_poly,
+    unstable_count,
 )
 
 from conftest import (
@@ -277,35 +278,40 @@ class TestDelayFreeStability:
 
 
 class TestDelayIndependentVerdict:
+    """The paper's particular delay cases, decided by the exact crossing
+    count N(alpha) of ``unstable_count``: the equilibrium is stable exactly
+    where N = 0, and alpha lies in the first stable interval when
+    ``critical_alpha`` finds no crossing below it."""
+
+    @staticmethod
+    def assert_first_stable_interval(p, d):
+        assert unstable_count(p, d, p.alpha) == 0
+        with pytest.raises(NoCrossingError):
+            critical_alpha(p, d, (1e-9, p.alpha))
+
     def test_matched_delays_are_applicable(self, sec4):
-        eps = epsilon_triple(sec4)
-        verdict = delay_independent_verdict(eps, DelayConfig(3, 5, 8))
-        assert verdict is DelayIndependentVerdict.APPLICABLE_STABLE
+        self.assert_first_stable_interval(sec4, DelayConfig(3, 5, 8))
 
     def test_zero_cross_delay_is_applicable(self, sec4):
-        eps = epsilon_triple(sec4)
-        verdict = delay_independent_verdict(eps, DelayConfig(7, 2, 0))
-        assert verdict is DelayIndependentVerdict.APPLICABLE_STABLE
+        self.assert_first_stable_interval(sec4, DelayConfig(7, 2, 0))
 
     def test_other_patterns_are_not_applicable(self, sec4):
-        eps = epsilon_triple(sec4)
-        assert (delay_independent_verdict(eps, DelayConfig(5, 3, 3))
-                is DelayIndependentVerdict.NOT_APPLICABLE)
+        # outside the paper's cases the count still decides
+        d = DelayConfig(5, 3, 3)
+        assert unstable_count(sec4, d, 1.0) == 0
+        assert unstable_count(sec4, d, 1.5) > 0
 
     def test_unstable_region_gives_unknown(self):
-        eps = epsilon_triple(sec4_at(1.3))
-        assert (delay_independent_verdict(eps, DelayConfig(1, 1, 0))
-                is DelayIndependentVerdict.APPLICABLE_UNKNOWN)
+        # past the zero-delay region the count reads unstable
+        assert unstable_count(sec4_at(1.3), DelayConfig(1, 1, 0), 1.3) > 0
 
     def test_sufficiency_over_random_draws(self):
         rng = np.random.default_rng(73)
         for _ in range(100):
             p = draw_stable_market(rng)
             d = draw_delay_independent_delays(rng)
-            eps = epsilon_triple(p)
-            assert (delay_independent_verdict(eps, d)
-                    is DelayIndependentVerdict.APPLICABLE_STABLE)
-            report = poly_roots(reduced_char_poly(eps, d))
+            self.assert_first_stable_interval(p, d)
+            report = poly_roots(reduced_char_poly(epsilon_triple(p), d))
             nonzero = report.roots[report.roots != 0]
             assert np.abs(nonzero).max() < 1.0
 
