@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,6 +55,22 @@ _PERIOD_MAX = 64
 # the tangent is renormalized every _RENORM_EVERY steps, at the transient
 # and at the last step
 _RENORM_EVERY = 64
+
+# the tangent takes its coefficients from the record this many steps at a time
+_COEF_BLOCK = 4096
+
+
+def _whole(name: str, value, least: int, what: str) -> int:
+    """``value`` as an int, or a ValidationError naming ``name`` when it is
+    not a whole number of at least ``least``: nan, inf and None included,
+    on which ``int`` raises errors of other types."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise ValidationError(f"{name} must be {what}, got {value}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -88,9 +104,7 @@ class MarketParams:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
         if float(self.alpha) < 0.0:
             raise ValidationError(f"alpha must be nonnegative, got {self.alpha}")
-        if int(self.n) != self.n or int(self.n) < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _whole("n", self.n, 1, "an integer >= 1"))
 
         primitives = (self.a, self.c0, self.c)
         given = [v is not None for v in primitives]
@@ -144,10 +158,8 @@ class DelayConfig:
 
     def __post_init__(self):
         for name in ("tau0", "tau1", "tau2"):
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 0,
+                                                  "a nonnegative integer"))
 
     @property
     def tau_max(self) -> int:
@@ -391,11 +403,11 @@ class _Tangent:
         self.measured = self.since_renorm = 0
         self.collapsed_at = None
         self.iters, self.transient = iters, transient
-        n, b, alpha = p.n, p.b, p.alpha
-        bd = b * p.delta
-        half = 0.5 * p.delta
-        self.coef = (n, alpha, b, bd, 1.0 + alpha * p.a0, alpha * bd * math.sqrt(n),
-                     half, half * math.sqrt(n), n - 1, 1 + d.tau0, 1 + d.tau1, 1 + d.tau2)
+        self.p = p
+        self.half = 0.5 * p.delta
+        self.neg_root = -(self.half * math.sqrt(p.n))
+        self.others = float(p.n - 1)
+        self.l0, self.l1, self.l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
 
     def carry(self, last: int, period: int) -> None:
         """Steps 1..``last``.  After step ``onset - depth`` every step reads
@@ -417,28 +429,52 @@ class _Tangent:
         if self.collapsed_at is None:
             self.advance(at + 1, last)
 
+    def coefficients(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of steps ``lo..hi`` as float arrays: step t reads
+        ``v(t) = gain(t)*v(t-1) - pull(t)*y(t - tau1 - 1)`` with
+        ``gain(t) = 1 + alpha*a0 - alpha*(2b*q0(t) + b*delta*n*mean(t - tau1))``
+        and ``pull(t) = alpha*b*delta*sqrt(n)*q0(t)``.  They depend on the
+        record only, so they are taken in one pass per stretch, grouped as
+        the orbit's own expressions; numpy's float64 ``*``, ``+`` and ``-``
+        round as Python's, so each entry equals the scalar expression."""
+        p = self.p
+        n, alpha, b = p.n, p.alpha, p.b
+        bd = b * p.delta
+        own0 = 1.0 + alpha * p.a0
+        cross = alpha * bd * math.sqrt(n)
+        q_now, mean1 = (np.asarray(column, dtype=float) for column in self._orbit(lo, hi))
+        return own0 - alpha * (2.0 * b * q_now + bd * (float(n) * mean1)), cross * q_now
+
     def _orbit(self, lo: int, hi: int) -> tuple:
         # q0(t) and mean(t - tau1) as steps lo..hi read them
-        depth, l1 = self.depth, self.coef[-2]  # the lags l0, l1, l2 end the tuple
+        depth, l1 = self.depth, self.l1
         return (_column(self.q, depth + lo - 2, depth + hi - 1, self.onset),
                 _column(self.mean, depth + lo - 1 - l1, depth + hi - l1, self.onset))
+
+    def _steps(self, lo: int, hi: int):
+        """(gain, pull) of steps ``lo..hi`` as Python floats, taken
+        _COEF_BLOCK steps at a time, so a long stretch holds one block."""
+        blocks = (self.coefficients(at, min(hi, at + _COEF_BLOCK - 1))
+                  for at in range(lo, hi + 1, _COEF_BLOCK))
+        return chain.from_iterable(zip(gain.tolist(), pull.tolist()) for gain, pull in blocks)
 
     def advance(self, lo: int, hi: int) -> None:
         """Steps ``lo..hi`` in blocks that end at multiples of
         _RENORM_EVERY, at the transient and at the last step, each closed by
         a renormalization; a block that ``hi`` cuts short stays open for the
         next call or a jump to close."""
-        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
+        half, neg_root, others = self.half, self.neg_root, self.others
+        # the delayed entries as negative indices into the window, newest last
+        k0, k1, k2 = -1 - self.l0, -self.l1, -self.l2
         v, y, scale, acc = self.v, self.y, self.scale, self.acc
         depth, iters, transient = self.depth, self.iters, self.transient
-        steps = zip(*self._orbit(lo, hi))
+        steps = self._steps(lo, hi)
         at = lo - 1
         while at < hi:
             end = min(hi, at - at % _RENORM_EVERY + _RENORM_EVERY, transient if transient > at else hi)
-            for q_now, mean1 in islice(steps, end - at):
-                total1 = n * mean1
-                v.append((own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[-1] - cross * q_now * y[-l1])
-                y.append(-half_root * v[-1 - l0] - half * (others * y[-l2]))
+            for gain, pull in islice(steps, end - at):
+                v.append(gain * v[-1] - pull * y[k1])
+                y.append(neg_root * v[k0] - half * (others * y[k2]))
             del v[:-depth], y[:-depth]
             if at >= transient:
                 self.since_renorm += end - at
@@ -465,15 +501,15 @@ class _Tangent:
         """The matrix M that carries the flat window (v, y) over steps
         ``at + 1 .. at + period``: the identity columns pushed through the
         step of ``advance``."""
-        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
-        depth = self.depth
+        half, neg_root, others = self.half, self.neg_root, self.others
+        l0, l1, l2, depth = self.l0, self.l1, self.l2, self.depth
         v = np.zeros((depth + period, 2 * depth))
         y = np.zeros((depth + period, 2 * depth))
         v[:depth, :depth] = y[:depth, depth:] = np.eye(depth)
-        for t, q_now, mean1 in zip(range(depth, depth + period), *self._orbit(at + 1, at + period)):
-            total1 = n * mean1
-            v[t] = (own0 - alpha * (2.0 * b * q_now + bd * total1)) * v[t - 1] - cross * q_now * y[t - l1]
-            y[t] = -half_root * v[t - l0] - half * (others * y[t - l2])
+        gains, pulls = self.coefficients(at + 1, at + period)
+        for t, gain, pull in zip(range(depth, depth + period), gains.tolist(), pulls.tolist()):
+            v[t] = gain * v[t - 1] - pull * y[t - l1]
+            y[t] = neg_root * v[t - l0] - half * (others * y[t - l2])
         return np.vstack([v[period:], y[period:]])
 
     def jump(self, m: np.ndarray, powers: list, at: int, end: int, period: int) -> int:
@@ -580,25 +616,29 @@ def _iterate(
     bd = b * p.delta
     half = 0.5 * p.delta
     base = p.a1 / (2.0 * b)
-    others = n - 1
-    l0, l1, l2 = 1 + d.tau0, 1 + d.tau1, 1 + d.tau2
+    # the delayed entries as negative indices, and n and n - 1 as floats,
+    # which they convert to exactly: float products stay on the fast path
+    k0, k1, k2 = -1 - d.tau0, -1 - d.tau1, -1 - d.tau2
+    n_f, others = float(n), float(n - 1)
     # a finite bound, so that one comparison also rejects inf and nan
     bound = min(blowup, sys.float_info.max)
+    low = -bound
 
     q, mean, spread = _split(init.window, d, steps, half)
+    append_q, append_mean = q.append, mean.append
+    q_now = q[-1]
     diverged_at = None
     period = 0
     for start in range(0, steps, _CHECK_EVERY):
         for i in range(start + 1, min(start + _CHECK_EVERY, steps) + 1):
-            q_now = q[-1]
-            total1 = n * mean[-l1]
-            q_new = q_now + alpha * q_now * (a0 - b * q_now - bd * total1)
-            mean_new = base - half * q[-l0] - half * (others * mean[-l2])
-            q.append(q_new)
-            mean.append(mean_new)
-            if not (abs(q_new) <= bound and abs(mean_new) <= bound):
+            q_new = q_now + alpha * q_now * (a0 - b * q_now - bd * (n_f * mean[k1]))
+            mean_new = base - half * q[k0] - half * (others * mean[k2])
+            append_q(q_new)
+            append_mean(mean_new)
+            if not (low <= q_new <= bound and low <= mean_new <= bound):
                 diverged_at = i
                 break
+            q_now = q_new
         if diverged_at is not None:
             break
         if not i % _CHECK_EVERY:

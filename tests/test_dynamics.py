@@ -129,7 +129,10 @@ class PerStepTangent(model._Tangent):
     ``model._Tangent.advance`` telescope to."""
 
     def advance(self, lo, hi):
-        n, alpha, b, bd, own0, cross, half, half_root, others, l0, l1, l2 = self.coef
+        p, l0, l1, l2 = self.p, self.l0, self.l1, self.l2
+        n, alpha, b, bd, half = p.n, p.alpha, p.b, p.b * p.delta, 0.5 * p.delta
+        own0, cross, half_root, others = (1.0 + alpha * p.a0, alpha * bd * math.sqrt(n),
+                                          half * math.sqrt(n), n - 1)
         for i, q_now, mean1 in zip(range(lo, hi + 1), *self._orbit(lo, hi)):
             v, y = self.v, self.y
             v.append((own0 - alpha * (2.0 * b * q_now + bd * (n * mean1))) * v[-1]

@@ -299,6 +299,18 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match=field):
             MarketParams(**{**SEC4, field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+    def test_bad_firm_count_rejected(self, value):
+        # int() alone would raise ValueError, OverflowError or TypeError
+        with pytest.raises(ValidationError, match="n must be"):
+            MarketParams(**{**SEC4, "n": value})
+
+    @pytest.mark.parametrize("field, value", [("tau0", float("nan")), ("tau1", float("inf")),
+                                              ("tau2", None)])
+    def test_bad_delay_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            DelayConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["a", "c0", "c"])
     def test_non_finite_primitives_rejected(self, field):
         primitives = dict(a=3.0, c0=1.0, c=0.5)
