@@ -2,7 +2,9 @@
 
 Closed forms locate every crossing: the flip condition with its four
 delay-parity cases, and the Neimark-Sacker angles as the real roots of
-one polynomial in cos(theta), found without a grid.  Each crossing moves
+one polynomial in cos(theta), found without a grid.  Both read the
+reduced polynomial from ``spectral`` (``flip_gain`` and the five terms of
+``reduced_terms``) and write out none of their own.  Each crossing moves
 roots of the reduced polynomial across the unit circle in a direction
 its derivatives give, so the number of roots outside the circle at any
 alpha is a signed sum over the crossings below it (D-decomposition with
@@ -35,16 +37,16 @@ from .spectral import coupling_epsilons, flip_gain, k_factor, reduced_char_poly,
 
 NS_RESIDUAL_TOL = 1.0e-8
 # an eigenvalue of the colleague matrix whose imaginary part is at most
-# this is a real root of the crossing polynomial, to be polished on F
+# this is a real root of the crossing polynomial, to be polished on H
 REAL_ROOT_TOL = 1.0e-6
 # a root this close to cos(theta) = -1 is the flip's lambda = -1 itself:
-# the equation has a forced zero there, and a second one only where -1 is
-# a double root of the reduced polynomial (a 1:2 resonance)
+# H has a forced zero there, and the crossing polynomial has one only
+# where -1 is a double root of the reduced polynomial (a 1:2 resonance)
 FLIP_ROOT_TOL = 1.0e-12
 # |P'(-1)| relative to the sum of |n * c_n| at or below which the flip's
 # lambda = -1 is a double root of the reduced polynomial
 DOUBLE_ROOT_TOL = 1.0e-10
-# the most Newton steps on F that polish the crossing angles
+# the most Newton steps on H that polish the crossing angles
 POLISH_STEPS = 8
 
 
@@ -103,73 +105,58 @@ def flip_boundary(p: MarketParams, d: DelayConfig) -> BifurcationPoint:
     )
 
 
-def _crossing_gain(theta, eps0: float, eps2: float, tau: int, tau2: int):
-    """eps1 that puts e^{i*theta} on the reduced polynomial's root set.
+def _sine_terms(base, slope, powers):
+    """H(theta) = Im(-P0 * conj(P1)) on the unit circle, for P0 and P1 the
+    ``base`` and ``slope`` terms, as sum(weights * sin(freqs * theta)).
 
-    Derived by solving the reduced characteristic equation for eps1 at
-    lambda = e^{i*theta}; the result is real exactly on the crossing
-    curve.  ``theta`` is a float or an array of angles; where the
-    denominator vanishes the gain is inf + inf*i.
+    Each product base_i * slope_j adds a sine of the lag p_i - p_j, folded
+    to the frequency |p_i - p_j| with the lag's sign; frequency 0 drops out.
     """
-    theta = np.asarray(theta)
-    lam = np.exp(1j * theta)
-    h = np.exp(1j * (tau + 1) * theta) + eps2 * np.exp(1j * (tau - tau2) * theta)
-    denom = eps0 - h
-    small = np.abs(denom) < 1.0e-14
-    return np.where(small, complex(np.inf, np.inf), (lam * h - eps0) / np.where(small, 1.0, denom))
-
-
-def _crossing_terms(eps0: float, eps2: float, tau: int, tau2: int):
-    """The crossing-angle equation F(theta) = sum(weights * cos(freqs * theta)).
-
-    F is the imaginary part of the eps1 ratio cleared of its positive
-    denominator and divided by 2*sin(theta/2), which removes the forced
-    zero at theta = 0.  Every frequency is half an odd integer, so F has
-    a forced zero at theta = pi, where the ratio is real for any delays.
-    """
-    weights = np.array([eps0, eps0 * eps2, -(1.0 + eps2**2), -eps2, -eps2])
-    freqs = np.array([tau + 1.5, tau - tau2 + 0.5, 0.5, tau2 + 1.5, tau2 + 0.5])
-    return weights, freqs
+    lags = np.subtract.outer(powers, powers).ravel()
+    folded = np.bincount(np.abs(lags), weights=-np.sign(lags) * np.outer(base, slope).ravel())
+    freqs = np.flatnonzero(folded)
+    return folded[freqs], freqs
 
 
 def _crossing_polynomial(weights, freqs) -> np.ndarray:
-    """Chebyshev coefficients of G(x) = F(theta) / cos(theta/2), x = cos(theta).
+    """Chebyshev coefficients of G(x) = H(theta) / sin(theta), x = cos(theta),
+    for H(theta) = sum(weights * sin(freqs * theta)).
 
-    cos((n + 1/2) theta) / cos(theta/2) is the Chebyshev polynomial of the
-    third kind V_n(cos theta) = 2 * sum_{j=1..n} (-1)^(n-j) T_j + (-1)^n T_0,
-    so G is exact, of degree max(tau0+tau1, tau2) + 1, with no sampling.
+    sin(k theta) / sin(theta) is the Chebyshev polynomial of the second
+    kind U_(k-1)(cos theta) = 2 * (T_(k-1) + T_(k-3) + ...), a sum that
+    ends at T_1 for even k and at T_0, counted once, for odd k.  So G is
+    exact, with no sampling.
     """
-    orders = (np.abs(freqs) - 0.5).astype(int)
-    coeffs = np.zeros(orders.max() + 1)
-    for w, n in zip(weights.tolist(), orders.tolist()):
-        signs = np.where((n - np.arange(n + 1)) % 2, -2.0, 2.0)
-        signs[0] = 0.5 * signs[0]
-        coeffs[: n + 1] += w * signs
+    coeffs = np.zeros(freqs.max())
+    for w, k in zip(weights.tolist(), freqs.tolist()):
+        coeffs[k - 1 :: -2] += 2.0 * w
+        if k % 2:
+            coeffs[0] -= w
     return np.trim_zeros(coeffs, "b")
 
 
 def ns_boundary(p: MarketParams, d: DelayConfig) -> list[BifurcationPoint]:
     """All interior unit-circle crossings of the reduced polynomial.
 
-    The crossing angles are the roots of the crossing-angle equation F in
-    (0, pi).  F(theta) / cos(theta/2) is a polynomial G of degree
-    D = max(tau0+tau1, tau2) + 1 in y = cos^2(theta/2), written in the
-    Chebyshev basis of x = 2y - 1 = cos(theta) with exact coefficients;
-    its real roots in [-1, 1] (``chebroots``, the eigenvalues of the
-    colleague matrix) are every candidate angle, with no grid and no
-    window.  A root within FLIP_ROOT_TOL of x = -1 (y = 0, theta = pi) is
-    the flip and is left out.  Each angle is polished by Newton steps on
-    F, the real eps1 is recovered from the crossing gain and converted to
-    alpha, and only points with positive alpha whose crossing root
-    verifies against the five-term closed form of the reduced polynomial
-    to NS_RESIDUAL_TOL are kept, sorted by angle.  An empty list means no
+    Split the terms of ``reduced_terms`` as P = P0 + eps1 * P1 (``base``
+    and ``slope``): eps1 = -P0/P1 is real on the unit circle exactly where
+    H(theta) = Im(-P0 * conj(P1)) vanishes.  H is a sum of sines
+    (``_sine_terms``), so G = H / sin(theta) is a polynomial of degree
+    D = max(tau0+tau1, tau2) + 1 in x = cos(theta) with exact Chebyshev
+    coefficients.  Its real roots in [-1, 1] (``chebroots``, the
+    eigenvalues of the colleague matrix) are every candidate angle, with
+    no grid and no window.  A root within FLIP_ROOT_TOL of x = -1
+    (theta = pi) is the flip and is left out.  Each angle is polished by
+    Newton steps on H, eps1 = -P0/P1 is evaluated there from the same
+    terms and converted to alpha, and only points with positive alpha
+    whose crossing root verifies against the same terms to
+    NS_RESIDUAL_TOL are kept, sorted by angle.  An empty list means no
     interior crossing exists.
     """
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
-    tau = d.tau_sum
-    tau2 = d.tau2
-    weights, freqs = _crossing_terms(eps0, eps2, tau, tau2)
+    base, slope, powers = reduced_terms(eps0, eps2, d)
+    weights, freqs = _sine_terms(base, slope, powers)
 
     # imported here: numpy.polynomial costs every CLI start about 2 ms and
     # 1 MB, and only the crossing subcommands need it
@@ -180,14 +167,17 @@ def ns_boundary(p: MarketParams, d: DelayConfig) -> list[BifurcationPoint]:
     theta = np.arccos(x[x > -1.0 + FLIP_ROOT_TOL])
     for _ in range(POLISH_STEPS):
         phase = np.multiply.outer(theta, freqs)
-        value = (np.cos(phase) * weights).sum(axis=1)
-        slope = -(np.sin(phase) * (weights * freqs)).sum(axis=1)
-        step = np.divide(value, slope, out=np.zeros_like(value), where=slope != 0.0)
+        value = (np.sin(phase) * weights).sum(axis=1)
+        rate = (np.cos(phase) * (weights * freqs)).sum(axis=1)
+        step = np.divide(value, rate, out=np.zeros_like(value), where=rate != 0.0)
         theta = theta - step
         if not np.any(np.abs(step) > 1.0e-15):
             break
 
-    ratio = _crossing_gain(theta, eps0, eps2, tau, tau2)
+    circle = np.exp(1j * np.multiply.outer(theta, powers))
+    p0, p1 = (circle * base).sum(axis=1), (circle * slope).sum(axis=1)
+    small = np.abs(p1) < 1.0e-14
+    ratio = np.where(small, complex(np.inf, np.inf), -p0 / np.where(small, 1.0, p1))
     eps1 = ratio.real
     alpha = (eps1 + 1.0) / k_factor(p)
     keep = (

@@ -82,10 +82,10 @@ def boundary_equilibrium(p: MarketParams) -> Equilibrium:
 
 def positive_equilibrium(p: MarketParams) -> Equilibrium:
     """Interior steady state; requires both positivity assumptions."""
-    require_assumptions(p)
+    report = require_assumptions(p)
     denom = p.b * (p.gamma - p.n * p.delta**2)
-    q0_star = (p.gamma * p.a0 - p.n * p.delta * p.a1) / denom
-    q1_star = (p.a1 - p.delta * p.a0) / denom
+    q0_star = report.a1_margin / denom
+    q1_star = report.a2_margin / denom
     point = np.full(p.dimension, q1_star)
     point[0] = q0_star
     return Equilibrium(point=point, residual=_fixed_point_residual(point, p))

@@ -33,6 +33,7 @@ no randomness, so identical inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -46,6 +47,10 @@ DEFAULT_BLOWUP = 1.0e6
 
 # tolerance for cross-checking (a, c0, c) against explicitly given (a0, a1)
 _GAP_CONSISTENCY_TOL = 1.0e-12
+
+# a real number: float and int are tried first, as the numbers.Real ABC
+# check alone costs about 1 us per value
+_REAL = (float, int, numbers.Real)
 
 # every _CHECK_EVERY steps the orbit looks for a window that repeats one
 # at most _PERIOD_MAX steps earlier
@@ -94,15 +99,20 @@ class MarketParams:
     c: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("b", "alpha", "a0", "a1", "a", "c0", "c"):
+        for name in ("b", "delta", "alpha", "a0", "a1", "a", "c0", "c"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name in ("a0", "a1", "a", "c0", "c"):
+                continue
+            if not isinstance(value, _REAL):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            # a delta outside (0, 1), nan included, is named below
+            if name != "delta" and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
-        if not float(self.b) > 0.0:
+        if not self.b > 0.0:
             raise ValidationError(f"b must be positive, got {self.b}")
-        if not 0.0 < float(self.delta) < 1.0:
+        if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
-        if float(self.alpha) < 0.0:
+        if self.alpha < 0.0:
             raise ValidationError(f"alpha must be nonnegative, got {self.alpha}")
         object.__setattr__(self, "n", _whole("n", self.n, 1, "an integer >= 1"))
 

@@ -3,7 +3,9 @@
 This module alone writes out and selects the characteristic polynomials.
 The reduced polynomial of the positive equilibrium is written once, as
 the five terms of ``reduced_terms``, linear in eps1; ``reduced_char_poly``
-adds them at their powers, and the crossing search reads the same terms.
+adds them at their powers, and ``bifurcation`` derives its crossing-angle
+equation, its crossing polynomial and its crossing gain from the same
+terms.
 ``full_char_poly`` resolves each selector ("reduced", "positive",
 "boundary", "no-public-firm") to its factors after its one assumption
 check.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import require_assumptions
+from .equilibria import check_assumptions, require_assumptions
 from .errors import DegenerateBoundaryError, ValidationError
 from .model import DelayConfig, MarketParams
 
@@ -36,7 +38,7 @@ def k_factor(p: MarketParams) -> float:
     Equals ``b * q0_star``; the coefficient ``eps1`` of the reduced
     polynomial is ``alpha * k_factor - 1``.
     """
-    return (p.gamma * p.a0 - p.n * p.delta * p.a1) / (p.gamma - p.n * p.delta**2)
+    return check_assumptions(p).a1_margin / (p.gamma - p.n * p.delta**2)
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,7 @@ def full_char_poly(p: MarketParams, d: DelayConfig, which: str) -> CharPoly:
             return reduced
         factors = (diff_factor, (reduced.coeffs, 1))
     elif which == "boundary":
-        require_assumptions(p, which=("A.1",))
-        m_gain = (p.gamma * p.a0 - p.n * p.delta * p.a1) / p.gamma
+        m_gain = require_assumptions(p, which=("A.1",)).a1_margin / p.gamma
         linear = np.array([-(1.0 + p.alpha * m_gain), 1.0])
         factors = (diff_factor, (linear, 1), sym_factor)
     elif which == "no-public-firm":

@@ -26,6 +26,7 @@ from cournotlab import (
 from cournotlab import bifurcation
 from cournotlab.spectral import EpsilonTriple, coupling_epsilons
 
+from conftest import SEC4
 
 
 # the four delay-parity cases at the running example's parameters have
@@ -346,6 +347,111 @@ class TestNsBoundaryAgainstScalarScan:
         on_circle = roots[np.argmin(np.abs(np.abs(roots) - 1.0))]
         assert abs(abs(on_circle) - 1.0) <= 1e-9
         assert abs(abs(cmath.phase(on_circle)) - pt.theta) <= 1e-6
+
+
+# The crossing search as it was first written, with the reduced polynomial
+# derived by hand: the angle equation F(theta) = sum(weights * cos(freqs *
+# theta)) at half-odd frequencies, G = F / cos(theta/2) in third-kind
+# Chebyshev polynomials V_n, Newton steps on F and the gain solved for eps1.
+
+def _hand_crossing_terms(eps0, eps2, tau, tau2):
+    weights = np.array([eps0, eps0 * eps2, -(1.0 + eps2**2), -eps2, -eps2])
+    freqs = np.array([tau + 1.5, tau - tau2 + 0.5, 0.5, tau2 + 1.5, tau2 + 0.5])
+    return weights, freqs
+
+
+def _hand_crossing_polynomial(weights, freqs):
+    # V_n(cos theta) = cos((n + 1/2) theta) / cos(theta/2)
+    #                = 2 * sum_{j=1..n} (-1)^(n-j) T_j + (-1)^n T_0
+    orders = (np.abs(freqs) - 0.5).astype(int)
+    coeffs = np.zeros(orders.max() + 1)
+    for w, n in zip(weights.tolist(), orders.tolist()):
+        signs = np.where((n - np.arange(n + 1)) % 2, -2.0, 2.0)
+        signs[0] = 0.5 * signs[0]
+        coeffs[: n + 1] += w * signs
+    return np.trim_zeros(coeffs, "b")
+
+
+def _hand_crossing_gain(theta, eps0, eps2, tau, tau2):
+    lam = np.exp(1j * theta)
+    h = np.exp(1j * (tau + 1) * theta) + eps2 * np.exp(1j * (tau - tau2) * theta)
+    denom = eps0 - h
+    small = np.abs(denom) < 1.0e-14
+    return np.where(small, complex(np.inf, np.inf), (lam * h - eps0) / np.where(small, 1.0, denom))
+
+
+def _hand_ns_boundary(p, d):
+    """(theta, alpha) of every interior crossing, sorted by angle."""
+    from numpy.polynomial import chebyshev
+
+    eps0, eps2 = coupling_epsilons(p)
+    tau, tau2 = d.tau_sum, d.tau2
+    weights, freqs = _hand_crossing_terms(eps0, eps2, tau, tau2)
+    x = chebyshev.chebroots(_hand_crossing_polynomial(weights, freqs))
+    x = x[(np.abs(x.imag) <= bifurcation.REAL_ROOT_TOL) & (np.abs(x.real) <= 1.0)].real
+    theta = np.arccos(x[x > -1.0 + bifurcation.FLIP_ROOT_TOL])
+    for _ in range(bifurcation.POLISH_STEPS):
+        phase = np.multiply.outer(theta, freqs)
+        value = (np.cos(phase) * weights).sum(axis=1)
+        slope = -(np.sin(phase) * (weights * freqs)).sum(axis=1)
+        step = np.divide(value, slope, out=np.zeros_like(value), where=slope != 0.0)
+        theta = theta - step
+        if not np.any(np.abs(step) > 1.0e-15):
+            break
+    ratio = _hand_crossing_gain(theta, eps0, eps2, tau, tau2)
+    eps1 = ratio.real
+    alpha = (eps1 + 1.0) / k_factor(p)
+    lam = np.exp(1j * theta)
+    # eps0 (eps1 + 1) lambda^tau2 - (lambda + eps1)(lambda^(tau2+1) + eps2) lambda^tau
+    residual = np.abs(eps0 * (eps1 + 1.0) * lam**tau2
+                      - (lam + eps1) * (lam ** (tau2 + 1) + eps2) * lam**tau)
+    keep = (np.isfinite(eps1) & (np.abs(ratio.imag) <= bifurcation.NS_RESIDUAL_TOL)
+            & (alpha > 0.0) & (0.0 < theta) & (theta < math.pi)
+            & (residual <= bifurcation.NS_RESIDUAL_TOL))
+    order = np.argsort(theta[keep])
+    return theta[keep][order], alpha[keep][order]
+
+
+ALL_STRATA = [(tau, tau2) for tau in range(31) for tau2 in range(31)]
+# eps0 = eps2 = 1/4: at tau0+tau1 = tau2 the top Chebyshev terms cancel
+EQUAL_COUPLING = dict(b=1.0, delta=0.5, alpha=1.0, n=2, a0=2.0, a1=2.5)
+# eps2 = 5/4 > 1
+STRONG_PRIVATE_COUPLING = dict(b=1.0, delta=0.5, alpha=1.0, n=6, a0=2.0, a1=2.5)
+
+
+class TestCrossingSearchAgainstHandDerivedForm:
+    @pytest.mark.parametrize("market", [SEC4, EQUAL_COUPLING, STRONG_PRIVATE_COUPLING],
+                             ids=["sec4", "equal-coupling", "strong-private-coupling"])
+    def test_same_crossings_on_every_stratum(self, market):
+        p = MarketParams(**market)
+        total = 0
+        for tau, tau2 in ALL_STRATA:
+            d = DelayConfig(0, tau, tau2)
+            found = ns_boundary(p, d)
+            theta, alpha = _hand_ns_boundary(p, d)
+            assert len(found) == theta.size, (tau, tau2)
+            for pt, t, a in zip(found, theta.tolist(), alpha.tolist()):
+                assert abs(pt.theta - t) <= 1e-13 * t, (tau, tau2)
+                assert abs(pt.alpha_crit - a) <= 1e-11 * a, (tau, tau2)
+            total += theta.size
+        assert total > 2000
+
+    @pytest.mark.parametrize("market", [SEC4, EQUAL_COUPLING, STRONG_PRIVATE_COUPLING],
+                             ids=["sec4", "equal-coupling", "strong-private-coupling"])
+    @pytest.mark.parametrize("tau, tau2", [(0, 0), (1, 0), (0, 1), (3, 3), (5, 3), (2, 15),
+                                           (30, 7), (7, 30), (29, 30)])
+    def test_crossing_polynomial_is_the_sine_sum_over_sin_theta(self, market, tau, tau2):
+        from numpy.polynomial import chebyshev
+
+        eps0, eps2 = coupling_epsilons(MarketParams(**market))
+        base, slope, powers = bifurcation.reduced_terms(eps0, eps2, DelayConfig(0, tau, tau2))
+        coeffs = bifurcation._crossing_polynomial(*bifurcation._sine_terms(base, slope, powers))
+        assert coeffs.size - 1 <= max(tau, tau2) + 1
+        theta = np.random.default_rng(1000 * tau + tau2).uniform(0.0, math.pi, 64)
+        circle = np.exp(1j * np.multiply.outer(theta, powers))
+        h = (-(circle @ base) * np.conj(circle @ slope)).imag
+        g = chebyshev.chebval(np.cos(theta), coeffs) * np.sin(theta)
+        assert np.abs(g - h).max() <= 1e-13 * np.abs(base).sum() * np.abs(slope).sum()
 
 
 def _outside_count(coeffs):

@@ -748,6 +748,30 @@ class TestWorkers:
         assert out.stdout == "False\n"
 
 
+def _run_module(*args):
+    """``python -m cournotlab`` with ``args``, on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "cournotlab", *args], env=env, capture_output=True, text=True
+    )
+
+
+class TestModuleEntryPoint:
+    def test_prints_what_main_prints(self, capsys):
+        args = ["equilibria"] + SEC4_FLAGS
+        run = _run_module(*args)
+        assert main(args) == 0
+        assert run.returncode == 0
+        assert run.stdout == capsys.readouterr().out
+        assert run.stderr == ""
+
+    def test_bad_input_exits_two(self):
+        run = _run_module("equilibria", *SEC4_FLAGS, "--n", "0")
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert "n must be" in run.stderr
+
+
 GOLDEN = pathlib.Path(__file__).parent / "data"
 
 

@@ -299,6 +299,34 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match=field):
             MarketParams(**{**SEC4, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("b", None), ("delta", None), ("alpha", None), ("a0", "2"), ("a1", "2.5"),
+        ("delta", "0.4"), ("b", [1.0]), ("alpha", 1.0 + 0j),
+    ])
+    def test_value_that_is_not_a_real_number_rejected(self, field, value):
+        # float() alone would raise TypeError on None, or take a string
+        with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+            MarketParams(**{**SEC4, field: value})
+
+    @pytest.mark.parametrize("field", ["a", "c0", "c"])
+    def test_primitive_that_is_not_a_real_number_rejected(self, field):
+        primitives = dict(a=3.0, c0=1.0, c=0.5)
+        with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+            MarketParams(b=1.0, delta=0.4, alpha=1.0, n=4, **{**primitives, field: "1"})
+
+    def test_real_numbers_of_other_types_accepted(self):
+        p = MarketParams(b=np.float64(1.0), delta=0.4, alpha=np.float32(1.0),
+                         n=np.int64(4), a0=2, a1=np.float64(2.5))
+        assert p.n == 4 and p.a0 == 2 and p.a1 == 2.5
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", float("nan"), "delta must lie in"), ("b", -1.0, "b must be positive"),
+        ("alpha", -0.5, "alpha must be nonnegative"), ("a0", float("nan"), "a0 must be finite"),
+    ])
+    def test_messages_of_other_bad_values_stay(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            MarketParams(**{**SEC4, field: value})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
     def test_bad_firm_count_rejected(self, value):
         # int() alone would raise ValueError, OverflowError or TypeError
