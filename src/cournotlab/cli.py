@@ -44,6 +44,25 @@ def _json_text(cfg: RunConfig, payload: dict) -> str:
     return json.dumps({"config": cfg.echo(), **payload}, indent=2) + "\n"
 
 
+def _root_table(roots: np.ndarray) -> str:
+    """The JSON list of root records {re, im, modulus}, sorted by
+    decreasing modulus, then real part, then imaginary part: the bytes
+    ``json.dumps(indent=2)`` writes for a nonempty list that is the value
+    of a key of the payload.  The modulus is ``np.hypot``, bit-equal to
+    ``abs`` of a Python complex.  Raises NumericalError for a root or
+    modulus that is not finite."""
+    re, im = roots.real, roots.imag
+    with np.errstate(over="ignore"):  # an overflowing modulus raises below
+        modulus = np.hypot(re, im)
+    table = np.column_stack((re, im, modulus))[np.lexsort((im, re, -modulus))]
+    if not np.isfinite(table).all():
+        raise NumericalError("the spectrum has a root or modulus that is not finite")
+    # "%r" of a finite Python float is float.__repr__, the spelling json uses
+    record = '\n    {\n      "re": %r,\n      "im": %r,\n      "modulus": %r\n    }'
+    records = [record % tuple(row) for row in table.tolist()]
+    return "[" + ",".join(records) + "\n  ]"
+
+
 def _format_floats(values: np.ndarray) -> list:
     """``"%.16e" % x`` for each entry of the 2-d float array ``values``, as
     a list of lists.  Each distinct value is formatted once, keyed on its
@@ -213,15 +232,19 @@ def _cmd_spectrum(cfg: RunConfig) -> None:
     d = delays_from_config(cfg)
     which = cfg.require("which")
     report = spectral.poly_roots(spectral.full_char_poly(p, d, which))
-    roots = sorted(report.roots, key=lambda z: (-abs(z), z.real, z.imag))
     payload = {
         "which": which,
-        "roots": [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in roots],
+        "roots": [],
         "classification": report.classification.value,
         "max_modulus": report.max_modulus,
         "on_circle_count": report.on_circle_count,
     }
-    _write(cfg, [_json_text(cfg, payload)])
+    # the root table is written on its own, in place of the empty list:
+    # json's indenting encoder is pure Python and would take longer than
+    # the roots do
+    key = '\n  "roots": '
+    head, _, tail = _json_text(cfg, payload).partition(key + "[]")
+    _write(cfg, [head, key, _root_table(report.roots), tail])
 
 
 def _cmd_stability_region(cfg: RunConfig) -> None:
@@ -377,7 +400,8 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and the parser of each subcommand by name."""
     # allow_abbrev=False: a flag is taken only when spelled in full, never
     # as the unique prefix of a longer one
     parser = argparse.ArgumentParser(
@@ -386,14 +410,35 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, (_, keys) in COMMANDS.items():
-        sp = sub.add_parser(name, allow_abbrev=False)
+        sp = subparsers[name] = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", dest="config_file", default=None, metavar="FILE")
         for key, typ in KEY_SPECS:
             if key in keys:
                 flag = "--" + key.replace("_", "-")
                 sp.add_argument(flag, dest=f"key_{key}", type=typ, default=None)
-    return parser
+    return parser, subparsers
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed arguments, as the top-level parser gives them.
+
+    When ``argv`` starts with a subcommand, only that subcommand's parser
+    reads the rest: the top-level parser would hand every token to it
+    anyway, after scanning them all once itself.  Arguments the
+    subcommand does not know go back through the top-level parser, which
+    reports them as unrecognized; anything else (no arguments, a help
+    flag, an unknown command) goes through the top-level parser alone.
+    Raises SystemExit where argparse exits.
+    """
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        namespace = argparse.Namespace(command=argv[0])
+        args, unknown = subparsers[argv[0]].parse_known_args(argv[1:], namespace)
+        if not unknown:
+            return args
+    return parser.parse_args(argv)
 
 
 def build_config(args) -> RunConfig:
@@ -410,9 +455,8 @@ def build_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     handler, _ = COMMANDS[args.command]

@@ -93,8 +93,10 @@ class CharPoly:
     ``factors`` lists (ascending coefficients, multiplicity) pairs whose
     product equals ``coeffs``.  Roots are extracted factor by factor:
     repeated factors would otherwise turn into high-multiplicity roots of
-    the expanded polynomial, which companion-matrix solvers can only
-    locate to a fractional power of machine precision.
+    the expanded polynomial, which a general root finder can only locate
+    to a fractional power of machine precision.  Every factor but the
+    reduced polynomial is a binomial c0 + cm*lambda^m, whose roots have a
+    closed form.
     """
 
     coeffs: np.ndarray
@@ -221,17 +223,48 @@ class SpectrumReport:
     classification: StabilityClass
 
 
+def _binomial_roots(c0: float, cm: float, m: int) -> np.ndarray:
+    """The m roots of c0 + cm*lambda^m in closed form.
+
+    With v = -c0/cm they are |v|^(1/m) * exp(i*theta_k), theta_k = 2*pi*k/m
+    for v > 0 and (2k+1)*pi/m for v < 0.  The roots with theta_k in [0, pi]
+    are built and the others are their mirror images, so conjugate pairs
+    are exact and a real root has an imaginary part of exactly 0."""
+    v = -c0 / cm
+    if v == 0.0:
+        return np.zeros(m, dtype=complex)
+    r = abs(v) ** (1.0 / m)
+    step = np.arange(int(v < 0.0), m + 1, 2)  # 2k (v > 0) or 2k + 1 (v < 0) up to m
+    on_axis = (step == 0) | (step == m)
+    # cos and sin of theta = s*pi/m as sines of angles in [-pi/2, pi/2]:
+    # the root at pi/2 gets a real part of exactly 0, and roots near the
+    # real axis keep their small imaginary parts to full relative precision
+    s = step[~on_axis]
+    half = r * np.sin((m - 2 * s) * (np.pi / (2 * m))) + 1j * (
+        r * np.sin(np.minimum(s, m - s) * (np.pi / m))
+    )
+    real = np.where(step[on_axis] == 0, r, -r)
+    return np.concatenate([real.astype(complex), half, half.conj()])
+
+
+def _factor_roots(coeffs: np.ndarray) -> np.ndarray:
+    if not coeffs[1:-1].any():
+        return _binomial_roots(coeffs[0], coeffs[-1], coeffs.size - 1)
+    return np.roots(coeffs[::-1])
+
+
 def poly_roots(cp: CharPoly) -> SpectrumReport:
     """All roots of a characteristic polynomial with a stability verdict.
 
-    Each distinct factor goes once through numpy's balanced companion
-    matrix, which reports the exact zero low-order coefficients as roots
-    at the origin; its roots are then repeated by its multiplicity.  A
-    root counts as on the unit circle when its modulus is within
-    ON_CIRCLE_TOL of 1."""
+    Each distinct factor is solved once and its roots are repeated by its
+    multiplicity.  A binomial factor (no nonzero interior coefficient) has
+    its roots in closed form; any other factor, in practice the reduced
+    polynomial, goes through ``np.roots``, which reports the exact zero
+    low-order coefficients as roots at the origin.  A root counts as on
+    the unit circle when its modulus is within ON_CIRCLE_TOL of 1."""
     if cp.degree < 1:
         raise ValidationError("need degree >= 1 to compute a spectrum")
-    roots = np.concatenate([np.tile(np.roots(coeffs[::-1]), mult) for coeffs, mult in cp.factors])
+    roots = np.concatenate([np.tile(_factor_roots(coeffs), mult) for coeffs, mult in cp.factors])
     moduli = np.abs(roots)
     max_modulus = float(moduli.max())
     on_circle = int(np.count_nonzero(np.abs(moduli - 1.0) < ON_CIRCLE_TOL))

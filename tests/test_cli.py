@@ -1,9 +1,9 @@
-import argparse
 import concurrent.futures
 import json
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -19,8 +19,10 @@ from cournotlab.config import (
     KEY_ORDER, KEY_SPECS, NON_EXPERIMENT_KEYS, RunConfig, parse_config, parse_config_text,
 )
 from cournotlab.dynamics import default_initial_history
-from cournotlab.errors import ConfigError
+from cournotlab.errors import ConfigError, NumericalError
 from cournotlab.model import DelayConfig, MarketParams, simulate
+
+from conftest import draw_market
 
 SEC4_FLAGS = ["--n", "4", "--delta", "0.4", "--a0", "2", "--a1", "2.5", "--b", "1"]
 
@@ -121,6 +123,49 @@ class TestParser:
         assert main(argv) == 2
         out = capsys.readouterr()
         assert prefix in out.err and out.out == ""
+
+
+class TestSubcommandDispatch:
+    """main parses a leading subcommand with that subcommand's parser
+    alone; what it prints and returns must be what the full parser gives."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def _same_as_full_parser(self, argv, capsys):
+        via_main = self._outcome(main, argv, capsys)
+        via_full = self._outcome(_build_parser()[0].parse_args, argv, capsys)
+        assert via_main == via_full
+        return via_main
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @pytest.mark.parametrize("tail", [
+        ["--help"],
+        ["--bogus", "1"],
+        ["--n", "4", "--bogus"],
+        ["--conf", "x"],  # a prefix of --config, with allow_abbrev=False
+        ["--n", "four"],
+        ["--n"],
+        ["stray"],
+    ])
+    def test_parse_failures_match_the_full_parser(self, capsys, name, tail):
+        code, out, err = self._same_as_full_parser([name, *tail], capsys)
+        assert (code, bool(out)) == ((0, True) if tail == ["--help"] else (2, False))
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["nope"], ["nope", "--n", "4"]])
+    def test_no_subcommand_goes_through_the_full_parser(self, capsys, argv):
+        self._same_as_full_parser(argv, capsys)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_parsed_arguments_match_the_full_parser(self, name):
+        argv = [name, "--n", "4", "--config", "run.cfg", "--out", "x"]
+        assert cli._parse_args(argv) == _build_parser()[0].parse_args(argv)
 
 
 class TestSubcommands:
@@ -486,6 +531,82 @@ class TestCsvEmission:
         assert out.read_text() == "# n=4\n# x=1\nalpha,sample_index,attractor_type\n"
 
 
+def _old_root_records(roots) -> list:
+    """The root records as the spectrum payload first built them: one dict
+    per root, sorted on a Python key."""
+    ordered = sorted(roots, key=lambda z: (-abs(z), z.real, z.imag))
+    return [{"re": z.real, "im": z.imag, "modulus": abs(z)} for z in ordered]
+
+
+class TestRootTable:
+    """The spectrum's root table is written without json; its bytes must be
+    json.dumps(indent=2) of the records sorted by the Python key."""
+
+    @pytest.mark.parametrize("which", ["reduced", "positive", "boundary", "no-public-firm"])
+    @pytest.mark.parametrize("taus", [(0, 0), (1, 1), (3, 94), (20, 60), (94, 2), (7, 13)])
+    def test_spectrum_bytes_match_json(self, tmp_path, which, taus):
+        rng = np.random.default_rng(sum(taus) + len(which))
+        for draw in range(3):
+            p = draw_market(rng, n_max=6)
+            if which == "no-public-firm" and p.n < 2:
+                continue
+            tau0 = int(rng.integers(0, taus[0] + 1))
+            argv = [
+                "spectrum", "--which", which, "--n", str(p.n), "--delta", repr(p.delta),
+                "--b", repr(p.b), "--a0", repr(p.a0), "--a1", repr(p.a1),
+                "--alpha", repr(p.alpha), "--tau0", str(tau0), "--tau1", str(taus[0] - tau0),
+                "--tau2", str(taus[1]),
+            ]
+            out = tmp_path / f"{draw}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            cfg = cli.build_config(cli._parse_args(argv))
+            report = spectral.poly_roots(
+                spectral.full_char_poly(p, DelayConfig(tau0, taus[0] - tau0, taus[1]), which)
+            )
+            payload = {
+                "which": which,
+                "roots": _old_root_records(report.roots),
+                "classification": report.classification.value,
+                "max_modulus": report.max_modulus,
+                "on_circle_count": report.on_circle_count,
+            }
+            assert out.read_text() == cli._json_text(cfg, payload)
+
+    @pytest.mark.parametrize("roots", [
+        [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+        [complex(5e-324, -5e-324), complex(-5e-324, 0.0)],
+        [complex(1e308, 0.0), complex(-1e308, 1e-308), complex(0.0, 1e308)],
+        [complex(1 / 3, -1 / 3), complex(-1 / 3, 1 / 3), complex(1 / 3, 1 / 3), 2 / 3],
+        [complex(0.6, 0.8), complex(0.8, -0.6), complex(-1.0, 0.0), complex(0.0, 1.0)],
+    ])
+    def test_edge_values_match_json(self, roots):
+        roots = np.array(roots, dtype=complex)
+        want = json.dumps({"roots": _old_root_records(roots)}, indent=2)
+        assert '{\n  "roots": ' + cli._root_table(roots) + "\n}" == want
+
+    @pytest.mark.parametrize("bad", [
+        complex(math.nan, 0.0), complex(0.5, math.inf), complex(-math.inf, 0.0),
+        complex(1.5e308, 1.5e308),  # finite, but its modulus overflows
+    ])
+    def test_non_finite_root_raises(self, bad):
+        with pytest.raises(NumericalError, match="not finite"):
+            cli._root_table(np.array([0.5, bad], dtype=complex))
+
+    def test_hypot_is_abs_of_a_python_complex(self):
+        # the table sorts and writes np.hypot where the records once held
+        # abs(complex); both call the C library's hypot
+        rng = np.random.default_rng(20241021)
+        scale = 2.0 ** rng.integers(-1074, 1000, size=(2, 200_000))
+        re, im = rng.standard_normal((2, 200_000)) * scale
+        moduli = np.hypot(re, im).tolist()
+        differ = [k for k, (a, b) in enumerate(zip(re.tolist(), im.tolist()))
+                  if moduli[k] != abs(complex(a, b))]
+        assert not differ, (
+            f"np.hypot differs from abs(complex) on {len(differ)} of 200000 draws "
+            f"on {platform.platform()} ({' '.join(platform.libc_ver())})"
+        )
+
+
 class TestDiagramDeterminism:
     DIAGRAM_FLAGS = [
         "bifurcation-diagram", *SEC4_FLAGS,
@@ -581,9 +702,7 @@ ALPHA_FREE = (
 
 
 def _subparsers() -> dict:
-    action = next(a for a in _build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+    return _build_parser()[1]
 
 
 def _echo(text: str) -> dict:

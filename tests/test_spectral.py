@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -175,6 +176,85 @@ class TestPolyRoots:
             if report.classification is StabilityClass.SADDLE:
                 assert moduli.max() > 1.0 + 1e-7
                 assert moduli.min() < 1.0 - 1e-7
+
+
+def _binomial(c0: float, m: int) -> CharPoly:
+    coeffs = np.zeros(m + 1)
+    coeffs[0], coeffs[-1] = c0, 1.0
+    return CharPoly(coeffs=coeffs, factors=((coeffs, 1),))
+
+
+def _relative_residual(roots: np.ndarray, c0: float, m: int) -> float:
+    # c0 + z^m in extended precision, against the size of its two terms
+    z = roots.astype(np.clongdouble)
+    return float(np.max(np.abs(c0 + z**m) / (abs(c0) + np.abs(z) ** m)))
+
+
+class TestBinomialRoots:
+    """Every factor of full_char_poly but the reduced polynomial is a
+    binomial c0 + lambda^m, solved in closed form."""
+
+    @pytest.mark.parametrize("c0", [0.2, -0.2, 1.0, -1.0, -1.5, 1e-3, -1e-3, 3.7, 0.0])
+    def test_against_np_roots(self, c0):
+        # the extended-precision residual carries rounding of its own: up
+        # to m units in its last place where long double is double
+        slack = np.finfo(np.longdouble).eps
+        for m in range(1, 101):
+            cp = _binomial(c0, m)
+            roots = poly_roots(cp).roots
+            reference = np.roots(cp.coeffs[::-1])
+            assert roots.size == m
+            if c0 == 0.0:
+                assert np.all(roots == 0.0) and np.all(reference == 0.0)
+                continue
+            # each root's nearest reference root, a different one for each
+            distance = np.abs(roots[:, None] - reference[None, :])
+            nearest = distance.argmin(axis=1)
+            assert sorted(nearest) == list(range(m))
+            assert np.all(distance[np.arange(m), nearest] <= 1e-13 * np.abs(roots)), m
+            assert _relative_residual(roots, c0, m) <= (
+                _relative_residual(reference, c0, m) + m * slack
+            ), m
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 95])
+    @pytest.mark.parametrize("c0", [0.45, -0.45])
+    def test_conjugate_pairs_are_exact(self, m, c0):
+        roots = poly_roots(_binomial(c0, m)).roots
+        assert sorted(roots.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+            roots.conj().tolist(), key=lambda z: (z.real, z.imag)
+        )
+        # lambda^m = -c0 has a real root where an angle 2k*pi/m
+        # (c0 < 0) or (2k+1)*pi/m (c0 > 0) is 0 or pi
+        real = roots[roots.imag == 0.0]
+        expected = 1 + (m % 2 == 0) if c0 < 0.0 else m % 2
+        assert real.size == expected
+
+    @pytest.mark.parametrize("which", ["positive", "boundary", "no-public-firm"])
+    def test_factor_multiplicities(self, sec4, which):
+        # tau0 + tau1 = 0: the reduced factor has no root at the origin,
+        # so only a factor of multiplicity > 1 repeats a root exactly
+        d = DelayConfig(0, 0, 4)
+        cp = full_char_poly(sec4, d, which)
+        roots = poly_roots(cp).roots
+        assert roots.size == cp.degree
+        counts = collections.Counter(roots.tolist())
+        for coeffs, mult in cp.factors:
+            for w in np.roots(coeffs[::-1]):
+                z = min(counts, key=lambda z: abs(z - w))
+                assert abs(z - w) <= 1e-13 * abs(w)
+                assert counts[z] == mult
+        assert len(counts) == sum(coeffs.size - 1 for coeffs, _ in cp.factors)
+
+    @pytest.mark.parametrize("tau2", [0, 1, 2, 7, 30, 94])
+    def test_unit_symmetric_factor_is_on_the_circle(self, tau2):
+        # (n-1)*delta/2 = 1: the symmetric factor is lambda^(tau2+1) + 1
+        p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=5, a0=1.0, a1=1.0)
+        report = no_public_firm_spectrum(p, tau2)
+        ulp = np.spacing(1.0)
+        on_circle = np.abs(np.abs(report.roots) - 1.0) <= 4 * ulp
+        assert np.count_nonzero(on_circle) == tau2 + 1
+        assert report.on_circle_count == tau2 + 1
+        assert report.classification is StabilityClass.NON_HYPERBOLIC
 
 
 class TestOracleEquivalence:
