@@ -10,7 +10,11 @@ its derivatives give, so the number of roots outside the circle at any
 alpha is a signed sum over the crossings below it (D-decomposition with
 stability switches, Cooke & Grossman 1982), with no root extraction.
 The first loss of stability over an alpha bracket is the smallest
-candidate above the bracket start, certified by that count.
+candidate above the bracket start, certified by that count.  Each
+candidate carries its residual |P| from the same terms: at lambda = -1
+in real arithmetic for the flip, and from the P0 and P1 the search
+already holds for a Neimark-Sacker point, which is kept only when that
+residual is at most NS_RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -74,19 +78,13 @@ def _derivative(coeffs, powers, lam, order: int = 0):
     )
 
 
-def _residual(eps0: float, eps2: float, d: DelayConfig, theta, eps1):
-    """|P(e^{i theta})| at eps1, for floats or arrays of one length."""
-    base, slope, powers = reduced_terms(eps0, eps2, d)
-    terms = np.multiply.outer(eps1, slope) + base
-    return np.abs(np.sum(terms * np.exp(1j * np.multiply.outer(theta, powers)), axis=-1))
-
-
 def flip_boundary(p: MarketParams, d: DelayConfig) -> BifurcationPoint:
     """Adjustment speed at which a root of the reduced polynomial sits at -1.
 
     The critical eps1 is ``spectral.flip_gain`` with the signs
     ``s = (-1)^(tau0+tau1)`` and ``s2 = (-1)^tau2``, converted to alpha
-    through the k factor.
+    through the k factor.  The residual is |P(-1)| at that eps1, summed
+    from the terms of ``reduced_terms`` in real arithmetic.
     """
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
@@ -96,12 +94,13 @@ def flip_boundary(p: MarketParams, d: DelayConfig) -> BifurcationPoint:
         raise NumericalError(
             f"flip condition gives nonpositive adjustment speed alpha = {alpha}"
         )
+    base, slope, powers = reduced_terms(eps0, eps2, d)
     return BifurcationPoint(
         alpha_crit=alpha,
         kind=BifurcationKind.FLIP,
         theta=math.pi,
         eps1=eps1,
-        residual=float(_residual(eps0, eps2, d, math.pi, eps1)),
+        residual=abs(_derivative(base + eps1 * slope, powers, -1.0)),
     )
 
 
@@ -147,11 +146,12 @@ def ns_boundary(p: MarketParams, d: DelayConfig) -> list[BifurcationPoint]:
     eigenvalues of the colleague matrix) are every candidate angle, with
     no grid and no window.  A root within FLIP_ROOT_TOL of x = -1
     (theta = pi) is the flip and is left out.  Each angle is polished by
-    Newton steps on H, eps1 = -P0/P1 is evaluated there from the same
-    terms and converted to alpha, and only points with positive alpha
-    whose crossing root verifies against the same terms to
-    NS_RESIDUAL_TOL are kept, sorted by angle.  An empty list means no
-    interior crossing exists.
+    Newton steps on H, and P0 and P1 are evaluated there once: eps1 is
+    the real part of -P0/P1, converted to alpha, and the residual is
+    |P0 + eps1 * P1|, which equals |Im(-P0/P1)| * |P1| in exact
+    arithmetic.  One gate keeps a point: a residual of at most
+    NS_RESIDUAL_TOL, with positive alpha and 0 < theta < pi.  The points
+    are sorted by angle.  An empty list means no interior crossing exists.
     """
     require_assumptions(p, which=("A.1",))
     eps0, eps2 = coupling_epsilons(p)
@@ -176,20 +176,19 @@ def ns_boundary(p: MarketParams, d: DelayConfig) -> list[BifurcationPoint]:
 
     circle = np.exp(1j * np.multiply.outer(theta, powers))
     p0, p1 = (circle * base).sum(axis=1), (circle * slope).sum(axis=1)
-    small = np.abs(p1) < 1.0e-14
-    ratio = np.where(small, complex(np.inf, np.inf), -p0 / np.where(small, 1.0, p1))
-    eps1 = ratio.real
+    # where P1 vanishes there is no gain: the mask drops the point and
+    # keeps the division clear of it
+    has_gain = np.abs(p1) >= 1.0e-14
+    eps1 = (-p0 / np.where(has_gain, p1, 1.0)).real
     alpha = (eps1 + 1.0) / k_factor(p)
+    residual = np.abs(p0 + eps1 * p1)
     keep = (
-        np.isfinite(eps1)
-        & (np.abs(ratio.imag) <= NS_RESIDUAL_TOL)
+        has_gain
+        & (residual <= NS_RESIDUAL_TOL)
         & (alpha > 0.0)
         & (0.0 < theta)
         & (theta < math.pi)
     )
-    theta, eps1, alpha = theta[keep], eps1[keep], alpha[keep]
-    residual = _residual(eps0, eps2, d, theta, eps1)
-    keep = residual <= NS_RESIDUAL_TOL
     order = np.argsort(theta[keep])
     return [
         BifurcationPoint(

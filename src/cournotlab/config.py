@@ -119,9 +119,6 @@ class RunConfig:
             if self.values.get(key) is not None and key not in NON_EXPERIMENT_KEYS
         }
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.values == other.values
-
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse configuration text on top of the defaults."""

@@ -84,8 +84,7 @@ class MarketParams:
 
     Outputs are indexed 0..n with index 0 the public firm.  The demand
     intercept gaps ``a0 = a - c0`` and ``a1 = a - c`` are all the map
-    itself needs; the primitives (a, c0, c) are optional and only
-    required for prices, profits and social surplus.
+    needs; the primitives (a, c0, c) are a second way to give them.
     """
 
     b: float
@@ -776,41 +775,3 @@ def embedded_jacobian(point: HistoryState, p: MarketParams, d: DelayConfig) -> n
     J[:m] = top.transpose(1, 0, 2).reshape(m, depth * m)
     J[m:, :-m] = np.eye(m * (depth - 1))  # identity blocks on the subdiagonal
     return J
-
-
-@dataclass(frozen=True)
-class EconomicReport:
-    """Prices, profits and social surplus for one output vector."""
-
-    prices: np.ndarray
-    profits: np.ndarray
-    social_surplus: float
-
-
-def economic_report(q, p: MarketParams) -> EconomicReport:
-    """Prices, per-firm profits and social surplus at output vector ``q``.
-
-    Requires the primitive parameters (a, c0, c); the intercept gaps alone
-    do not determine price levels.  The surplus is evaluated literally as
-    gross utility minus consumer expenditure plus total profits, which
-    collapses to utility minus production costs.
-    """
-    if p.a is None:
-        raise ValidationError(
-            "economic_report needs primitive parameters (a, c0, c), not only intercept gaps"
-        )
-    q = np.asarray(q, dtype=float)
-    if q.shape != (p.dimension,):
-        raise DimensionError(f"expected output vector of shape ({p.dimension},), got {q.shape}")
-
-    total = q.sum()
-    prices = p.a - p.b * q - p.b * p.delta * (total - q)
-    costs = np.full(p.dimension, p.c)
-    costs[0] = p.c0
-    profits = (prices - costs) * q
-
-    sum_sq = float(q @ q)
-    cross = total * total - sum_sq  # ordered pairs i != j
-    utility = p.a * total - 0.5 * p.b * (sum_sq + p.delta * cross)
-    social_surplus = utility - float(prices @ q) + float(profits.sum())
-    return EconomicReport(prices=prices, profits=profits, social_surplus=social_surplus)

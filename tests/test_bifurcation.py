@@ -26,7 +26,7 @@ from cournotlab import (
 from cournotlab import bifurcation
 from cournotlab.spectral import EpsilonTriple, coupling_epsilons
 
-from conftest import SEC4
+from conftest import SEC4, draw_market
 
 
 # the four delay-parity cases at the running example's parameters have
@@ -405,8 +405,7 @@ def _hand_ns_boundary(p, d):
     # eps0 (eps1 + 1) lambda^tau2 - (lambda + eps1)(lambda^(tau2+1) + eps2) lambda^tau
     residual = np.abs(eps0 * (eps1 + 1.0) * lam**tau2
                       - (lam + eps1) * (lam ** (tau2 + 1) + eps2) * lam**tau)
-    keep = (np.isfinite(eps1) & (np.abs(ratio.imag) <= bifurcation.NS_RESIDUAL_TOL)
-            & (alpha > 0.0) & (0.0 < theta) & (theta < math.pi)
+    keep = (np.isfinite(eps1) & (alpha > 0.0) & (0.0 < theta) & (theta < math.pi)
             & (residual <= bifurcation.NS_RESIDUAL_TOL))
     order = np.argsort(theta[keep])
     return theta[keep][order], alpha[keep][order]
@@ -618,6 +617,76 @@ class TestCrossingCount:
         assert counts == [_numeric_count(sec4, d, a) for a in np.linspace(0.5, 3.0, 200)]
         first = next(i for i, n in enumerate(counts) if n)
         assert 0 in counts[first:]
+
+
+def _slope_outside(p, d):
+    """Roots of P1, the ``slope`` terms of ``reduced_terms``, outside the
+    unit circle, by np.roots; None when one lies within 1e-6 of it."""
+    eps0, eps2 = coupling_epsilons(p)
+    _, slope, powers = bifurcation.reduced_terms(eps0, eps2, d)
+    moduli = np.abs(np.roots(np.bincount(powers, weights=slope)[::-1]))
+    if np.abs(moduli - 1.0).min() <= 1e-6:
+        return None
+    return int(np.sum(moduli > 1.0))
+
+
+def _end_count_holds(p, d):
+    """Past the last crossing the count reads 1 + N_out(P1): as alpha grows,
+    P / eps1 tends to P1, which has one degree less than P, so one root
+    escapes to infinity and the others tend to the roots of P1."""
+    eps0, eps2 = coupling_epsilons(p)
+    candidates = bifurcation._candidates(p, d)
+    top = max((pt.alpha_crit for pt in candidates), default=0.0)
+    end = bifurcation._count(eps0, eps2, d, candidates, 2.0 * top + 1.0)
+    return end == 1 + _slope_outside(p, d)
+
+
+N7 = dict(b=1.0, delta=0.3, alpha=1.0, n=7, a0=3.0, a1=2.5)
+N9 = dict(b=1.0, delta=0.2820653117346468, alpha=1.0, n=9, a0=3.0, a1=1.930620726941339)
+# crossings whose gain -P0/P1 is large and P1 small: an absolute bound on
+# the gain's imaginary part dropped them, and the count past them was 2 short
+LARGE_GAIN_CROSSINGS = [
+    (N7, (11, 30), 0.0911423240058105, 385.25808652028064, 14),
+    (STRONG_PRIVATE_COUPLING, (21, 30), 1.4993553821450654, 3746.744827945193, 22),
+    (N9, (3, 16), 2.0141921602148667, 935.8794247857011, 12),
+]
+# half the strata up to (30, 30), the large-gain ones among them
+ODD_STRATA = [(tau, tau2) for tau, tau2 in ALL_STRATA if (tau + tau2) % 2]
+
+
+class TestCompleteCrossingSet:
+    @pytest.mark.parametrize("market, stratum, theta, alpha, unstable", LARGE_GAIN_CROSSINGS,
+                             ids=["n7", "strong-private-coupling", "n9"])
+    def test_large_gain_crossing_is_kept(self, market, stratum, theta, alpha, unstable):
+        p = MarketParams(**market)
+        d = DelayConfig(0, *stratum)
+        pt = next(pt for pt in ns_boundary(p, d) if pt.alpha_crit > 300.0)
+        assert pt.theta == pytest.approx(theta, abs=1e-12)
+        assert pt.alpha_crit == pytest.approx(alpha, rel=1e-12)
+        assert pt.residual <= bifurcation.NS_RESIDUAL_TOL
+        above = alpha * (1.0 + 1e-6)
+        assert bifurcation.unstable_count(p, d, above) == unstable == _numeric_count(p, d, above)
+        below = alpha * (1.0 - 1e-6)
+        assert bifurcation.unstable_count(p, d, below) == unstable - 2 == _numeric_count(
+            p, d, below)
+
+    @pytest.mark.parametrize("market", [SEC4, N7, STRONG_PRIVATE_COUPLING, N9],
+                             ids=["sec4", "n7", "strong-private-coupling", "n9"])
+    def test_end_count_on_every_odd_stratum(self, market):
+        p = MarketParams(**market)
+        failed = [s for s in ODD_STRATA if not _end_count_holds(p, DelayConfig(0, *s))]
+        assert failed == []
+
+    def test_end_count_on_random_markets(self):
+        rng = np.random.default_rng(37)
+        checked = 0
+        while checked < 200:
+            p = draw_market(rng, n_max=9)
+            d = DelayConfig(0, int(rng.integers(0, 41)), int(rng.integers(0, 41)))
+            if coupling_epsilons(p)[1] == 1.0 or _slope_outside(p, d) is None:
+                continue
+            assert _end_count_holds(p, d), (p, d)
+            checked += 1
 
 
 class TestStabilityRegion:

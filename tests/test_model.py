@@ -10,7 +10,6 @@ from cournotlab import (
     MarketParams,
     ValidationError,
     boundary_equilibrium,
-    economic_report,
     embedded_jacobian,
     positive_equilibrium,
     simulate,
@@ -228,48 +227,6 @@ class TestJacobian:
             u = lambda k: direction[-1 - k]
             lin = A @ u(0) - B0 @ u(d.tau0) - B1 @ u(d.tau1) - B2 @ u(d.tau2)
             assert np.abs(fd - lin).max() < 1e-6
-
-
-class TestEconomicReport:
-    def test_zero_output_vector(self):
-        p = MarketParams(b=1.0, delta=0.4, alpha=1.0, n=4, a=3.0, c0=1.0, c=0.5)
-        rep = economic_report(np.zeros(5), p)
-        assert np.all(rep.prices == 3.0)
-        assert np.all(rep.profits == 0.0)
-        assert rep.social_surplus == 0.0
-
-    def test_duopoly_hand_values(self):
-        p = MarketParams(b=1.0, delta=0.5, alpha=1.0, n=1, a=3.0, c0=1.0, c=1.0)
-        rep = economic_report(np.array([1.0, 1.0]), p)
-        assert rep.prices == pytest.approx([1.5, 1.5], abs=1e-12)
-        assert rep.profits == pytest.approx([0.5, 0.5], abs=1e-12)
-
-    def test_private_first_order_condition_at_equilibrium(self):
-        p = MarketParams(b=1.0, delta=0.4, alpha=1.0, n=4, a=3.0, c0=1.0, c=0.5)
-        q = positive_equilibrium(p).point
-        rep = economic_report(q, p)
-        residual = rep.prices[1:] - p.c - p.b * q[1:]
-        assert np.abs(residual).max() < 1e-12
-
-    def test_surplus_equals_utility_minus_costs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            c = float(rng.uniform(0.0, 1.0))
-            c0 = float(rng.uniform(c, 1.5))
-            a = float(rng.uniform(c0 + 0.2, 4.0))
-            p = MarketParams(b=float(rng.uniform(0.5, 2.0)), delta=float(rng.uniform(0.1, 0.9)),
-                             alpha=1.0, n=n, a=a, c0=c0, c=c)
-            q = rng.uniform(-1.0, 2.0, size=n + 1)
-            rep = economic_report(q, p)
-            total = q.sum()
-            utility = a * total - 0.5 * p.b * (q @ q + p.delta * (total**2 - q @ q))
-            direct = utility - c0 * q[0] - c * q[1:].sum()
-            assert rep.social_surplus == pytest.approx(direct, abs=1e-12 * max(1.0, abs(direct)))
-
-    def test_requires_primitive_parameters(self, sec4):
-        with pytest.raises(ValidationError):
-            economic_report(np.ones(5), sec4)
 
 
 class TestParamValidation:
